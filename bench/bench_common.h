@@ -158,6 +158,21 @@ inline const xml::Document& XmarkDoc(const std::string& name, double factor) {
   return *d;
 }
 
+/// Adds `r` to the trajectory. google-benchmark calls a benchmark function
+/// more than once (iteration estimation); the final, longest-running
+/// record for a (bench, query, algo, threads, variant) key wins.
+inline void RecordJson(JsonRecord r) {
+  for (JsonRecord& existing : JsonRecords()) {
+    if (existing.bench == r.bench && existing.query == r.query &&
+        existing.algo == r.algo && existing.threads == r.threads &&
+        existing.variant == r.variant) {
+      existing = std::move(r);
+      return;
+    }
+  }
+  JsonRecords().push_back(std::move(r));
+}
+
 /// Compiles once, executes per iteration, reports result cardinality.
 /// With a JSON path set (--json=), also appends a perf-trajectory record
 /// with the mean per-iteration wall time and the exact nodes_visited
@@ -208,17 +223,7 @@ inline void RunQueryBenchmark(benchmark::State& state, const std::string& q,
     r.variant = variant;
     r.ns = total_ns / static_cast<double>(iters);
     r.nodes_visited = scope.stats().nodes_visited;
-    // google-benchmark calls the function more than once (iteration
-    // estimation); keep only the final, longest-running record.
-    for (JsonRecord& existing : JsonRecords()) {
-      if (existing.bench == r.bench && existing.query == r.query &&
-          existing.algo == r.algo && existing.threads == r.threads &&
-          existing.variant == r.variant) {
-        existing = std::move(r);
-        return;
-      }
-    }
-    JsonRecords().push_back(std::move(r));
+    RecordJson(std::move(r));
   }
 }
 

@@ -105,6 +105,7 @@ const std::vector<exec::PatternAlgo>& CrossCheckAlgos() {
       exec::PatternAlgo::kNLJoin,    exec::PatternAlgo::kStaircase,
       exec::PatternAlgo::kTwig,      exec::PatternAlgo::kStream,
       exec::PatternAlgo::kTwigStack, exec::PatternAlgo::kShredded,
+      exec::PatternAlgo::kCostBased,
   };
   return kAlgos;
 }
@@ -168,8 +169,10 @@ Status CrossCheck(const CrossCheckInput& in, const core::VarTable& vars,
         {"core-interp", exec::EvaluateCore(*in.reference, vars, bindings)});
   }
   if (in.unoptimized != nullptr) {
+    exec::EvalOptions uopts;
+    uopts.algo = exec::PatternAlgo::kNLJoin;
     routes.push_back({"plan(unoptimized, NLJoin)",
-                      exec::Evaluate(*in.unoptimized, vars, bindings, {})});
+                      exec::Evaluate(*in.unoptimized, vars, bindings, uopts)});
   }
   bool has_pattern = PlanHasPattern(*in.optimized);
   {
@@ -179,11 +182,13 @@ Status CrossCheck(const CrossCheckInput& in, const core::VarTable& vars,
     // Both must be bit-identical to the default (batch, 1024-row) route
     // below — this is the oracle leg that guards the columnar evaluator.
     exec::EvalOptions ropts;
+    ropts.algo = exec::PatternAlgo::kNLJoin;
     ropts.threads = 1;
     ropts.tuple_exec = exec::TupleExecMode::kRow;
     routes.push_back({"plan(optimized, NLJoin, row)",
                       exec::Evaluate(*in.optimized, vars, bindings, ropts)});
     exec::EvalOptions bopts;
+    bopts.algo = exec::PatternAlgo::kNLJoin;
     bopts.threads = 1;
     bopts.tuple_batch_rows = 2;
     routes.push_back({"plan(optimized, NLJoin, batch_rows=2)",

@@ -1,11 +1,12 @@
 // Cross-evaluator oracle: the paper's central claim that every physical
 // pattern algorithm computes the same operator semantics (Section 4.1
 // bindings, root-to-leaf lexical order) is checked dynamically by running
-// the same pattern — or whole plan — through all six algorithms and
-// asserting identical ordered results. The "Demythization" comparison
-// (PAPERS.md) shows holistic vs. binary evaluators are exactly where
-// silent divergence hides; this oracle turns such divergence into a
-// reported counterexample instead of a wrong answer.
+// the same pattern — or whole plan — through all six algorithms and the
+// cost-based choice among them, asserting identical ordered results. The
+// "Demythization" comparison (PAPERS.md) shows holistic vs. binary
+// evaluators are exactly where silent divergence hides; this oracle turns
+// such divergence into a reported counterexample instead of a wrong
+// answer.
 #ifndef XQTP_ANALYSIS_CROSS_CHECK_H_
 #define XQTP_ANALYSIS_CROSS_CHECK_H_
 
@@ -21,7 +22,9 @@
 namespace xqtp::analysis {
 
 /// The algorithms the oracle exercises: all six physical pattern
-/// algorithms. kCostBased is excluded — it delegates to one of these.
+/// algorithms, plus kCostBased — the default — whose per-operator,
+/// per-context-shape choice must be as invisible in the results as any
+/// single algorithm.
 const std::vector<exec::PatternAlgo>& CrossCheckAlgos();
 
 /// Item equality as the differential oracles need it: Item::operator==

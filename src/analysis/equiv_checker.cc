@@ -150,7 +150,8 @@ Status EquivChecker::CheckCore(const core::CoreExpr& before,
 Status EquivChecker::CheckPlan(const algebra::Op& before,
                                const algebra::Op& after,
                                const core::VarTable& vars) {
-  exec::EvalOptions eopts;  // nested-loop: the reference algorithm
+  exec::EvalOptions eopts;
+  eopts.algo = exec::PatternAlgo::kNLJoin;  // the reference algorithm
   CheckSubject lhs{[&](const xml::Document& d) {
                      return exec::Evaluate(before, vars, BindGlobals(vars, d),
                                            eopts);
@@ -169,6 +170,7 @@ Status EquivChecker::CheckCoreVsPlan(const core::CoreExpr& core_form,
                                      const algebra::Op& plan,
                                      const core::VarTable& vars) {
   exec::EvalOptions eopts;
+  eopts.algo = exec::PatternAlgo::kNLJoin;
   CheckSubject lhs{[&](const xml::Document& d) {
                      return exec::EvaluateCore(core_form, vars,
                                                BindGlobals(vars, d));

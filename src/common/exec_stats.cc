@@ -15,7 +15,8 @@ std::string ExecStats::ToString() const {
          " peak_memory_bytes=" + std::to_string(peak_memory_bytes) +
          " batches=" + std::to_string(batches) +
          " tuples_materialized=" + std::to_string(tuples_materialized) +
-         " cow_column_copies=" + std::to_string(cow_column_copies);
+         " cow_column_copies=" + std::to_string(cow_column_copies) +
+         " cost_estimates=" + std::to_string(cost_estimates);
 }
 
 ExecStats* CurrentExecStats() { return g_current; }

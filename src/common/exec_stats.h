@@ -46,6 +46,11 @@ struct ExecStats {
   /// consumer needed flat owned storage (TupleBatch::Flatten — the
   /// copy-on-write "write"). One count per column gathered.
   int64_t cow_column_copies = 0;
+  /// Cost-model consultations (exec/cost_model.h): kCostBased choices
+  /// made by running the estimator. An evaluator memoizes them per
+  /// operator and context shape, so a per-row operator over N rows
+  /// counts one per distinct shape, not N.
+  int64_t cost_estimates = 0;
 
   /// Adds another collector's counters into this one. The morsel driver
   /// (exec/parallel.h) gives each worker morsel its own scope and merges
@@ -64,6 +69,7 @@ struct ExecStats {
     batches += other.batches;
     tuples_materialized += other.tuples_materialized;
     cow_column_copies += other.cow_column_copies;
+    cost_estimates += other.cost_estimates;
   }
 
   std::string ToString() const;
@@ -109,6 +115,9 @@ inline void CountTuplesMaterialized(int64_t n) {
 }
 inline void CountCowColumnCopies(int64_t n) {
   if (ExecStats* s = CurrentExecStats()) s->cow_column_copies += n;
+}
+inline void CountCostEstimate() {
+  if (ExecStats* s = CurrentExecStats()) ++s->cost_estimates;
 }
 
 }  // namespace xqtp

@@ -212,18 +212,20 @@ class Engine {
   /// Global bindings by variable name; a document binds as its root node.
   using GlobalMap = std::map<std::string, xdm::Sequence>;
 
-  /// Executes a compiled query. This legacy entry point is the sequential
-  /// path (threads = 1), keeping per-algorithm ExecStats deterministic.
+  /// Executes a compiled query with one pattern algorithm, by default the
+  /// EvalOptions{} one. This legacy entry point is the sequential path
+  /// (threads = 1), keeping per-algorithm ExecStats deterministic.
   [[nodiscard]]
   Result<xdm::Sequence> Execute(
       const CompiledQuery& q, const GlobalMap& globals,
-      exec::PatternAlgo algo = exec::PatternAlgo::kNLJoin,
+      exec::PatternAlgo algo = exec::EvalOptions{}.algo,
       PlanChoice plan = PlanChoice::kOptimized) const;
 
   /// Executes a compiled query with full evaluation options — notably
   /// EvalOptions::threads for the morsel-parallel driver (exec/parallel.h;
-  /// 0 = one thread per hardware thread). Evaluation runs under a
-  /// StringInterner::ExecutionFreeze: no name may be interned mid-query.
+  /// default 1 = sequential, 0 = one thread per hardware thread).
+  /// Evaluation runs under a StringInterner::ExecutionFreeze: no name may
+  /// be interned mid-query.
   [[nodiscard]]
   Result<xdm::Sequence> Execute(const CompiledQuery& q,
                                 const GlobalMap& globals,
@@ -243,7 +245,7 @@ class Engine {
   /// bound to every free variable of the query.
   [[nodiscard]]
   Result<xdm::Sequence> Run(std::string_view query, const xml::Document& doc,
-                            exec::PatternAlgo algo = exec::PatternAlgo::kNLJoin,
+                            exec::PatternAlgo algo = exec::EvalOptions{}.algo,
                             const CompileOptions& opts = {});
 
   /// Point-in-time plan-cache counters (hits, misses, fills, evictions,

@@ -8,6 +8,7 @@
 #include "analysis/plan_props.h"
 #include "common/exec_stats.h"
 #include "common/fault_injection.h"
+#include "exec/cost_model.h"
 #include "exec/fn_lib.h"
 #include "exec/parallel.h"
 #include "xdm/sequence_ops.h"
@@ -487,16 +488,28 @@ class Evaluator {
     }
     PatternBatchBuilder builder(in);
     ScopedMemoryCharge mem;
+    AlgoChooser* chooser = ChooserFor(op);
     for (size_t i = 0; i < in.rows(); ++i) {
+      const Sequence& ctx = in.Value(*ctx_col, i);
       XQTP_ASSIGN_OR_RETURN(
           std::vector<BindingRow> rows,
-          EvalPattern(op.tp, in.Value(*ctx_col, i), opts_.algo, par_.get()));
+          EvalPattern(op.tp, ctx,
+                      chooser != nullptr ? chooser->Choose(ctx) : opts_.algo,
+                      par_.get()));
       XQTP_RETURN_NOT_OK(
           mem.Grow(static_cast<int64_t>(rows.size() * sizeof(BindingRow))));
       for (const BindingRow& row : rows) builder.Add(i, row);
     }
     if (builder.rows() == 0) return Status::OK();
     return Emit(sink, builder.Finish());
+  }
+
+  /// Under kCostBased, the chooser of pattern operator `op` for this
+  /// execution — the cost model's choice is resolved once per operator
+  /// and context shape; null when opts_.algo is a fixed algorithm.
+  AlgoChooser* ChooserFor(const Op& op) {
+    if (opts_.algo != PatternAlgo::kCostBased) return nullptr;
+    return &choosers_.try_emplace(&op, op.tp).first->second;
   }
 
   // ------------------------------------------------------------------
@@ -598,9 +611,13 @@ class Evaluator {
             return Status::Internal(
                 "TupleTreePattern input tuple lacks the context field");
           }
+          AlgoChooser* chooser = ChooserFor(op);
           XQTP_ASSIGN_OR_RETURN(
               std::vector<BindingRow> rows,
-              EvalPattern(op.tp, *ctx, opts_.algo, par_.get()));
+              EvalPattern(op.tp, *ctx,
+                          chooser != nullptr ? chooser->Choose(*ctx)
+                                             : opts_.algo,
+                          par_.get()));
           XQTP_RETURN_NOT_OK(mem.Grow(
               static_cast<int64_t>(rows.size() * sizeof(BindingRow))));
           for (const BindingRow& row : rows) {
@@ -626,6 +643,8 @@ class Evaluator {
   /// EvalItemInner); coordinating thread only.
   uint32_t governor_tick_ = 0;
   std::unordered_map<core::VarId, Sequence> scoped_;
+  /// Per-operator cost-based choices (kCostBased only; see ChooserFor).
+  std::unordered_map<const Op*, AlgoChooser> choosers_;
   /// Parallel-evaluation parameters (null when opts_.threads resolves
   /// to 1) and the lazily-created per-query pool behind par_->pool.
   std::unique_ptr<ParallelContext> par_;

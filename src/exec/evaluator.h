@@ -2,8 +2,8 @@
 // default — a pull pipeline of columnar TupleBatches (exec/tuple.h)
 // streaming between pipeline-able operators — with a row-at-a-time
 // TupleSeq reference path behind TupleExecMode::kRow. TupleTreePattern
-// dispatches to the configured physical algorithm (NLJoin / Staircase /
-// Twig).
+// dispatches to the configured physical algorithm, by default the cost
+// model's per-operator choice among NLJoin / Staircase / Twig.
 #ifndef XQTP_EXEC_EVALUATOR_H_
 #define XQTP_EXEC_EVALUATOR_H_
 
@@ -37,14 +37,19 @@ enum class TupleExecMode {
 };
 
 struct EvalOptions {
-  PatternAlgo algo = PatternAlgo::kNLJoin;
-  /// Worker threads for TupleTreePattern evaluation: 0 (default) = one per
-  /// hardware thread, 1 = the sequential path, N = a fixed per-query pool
-  /// of N (exec/parallel.h). The pool is created lazily on the first
-  /// pattern evaluation that actually morselizes. Results are identical at
-  /// any thread count; only the ExecStats attribution of driver-side index
-  /// scans can differ.
-  int threads = 0;
+  /// Physical algorithm for TupleTreePattern operators. The default,
+  /// kCostBased, lets the calibrated cost model (exec/cost_model.h) pick
+  /// NLJoin, SCJoin or TwigJoin per operator and context shape; results
+  /// are identical under every algorithm.
+  PatternAlgo algo = PatternAlgo::kCostBased;
+  /// Worker threads for TupleTreePattern evaluation: 1 (default) = the
+  /// sequential path, 0 = one per hardware thread, N = a fixed per-query
+  /// pool of N (exec/parallel.h). Parallelism is opt-in: on the e2e
+  /// serving benchmark the sequential path was faster. The pool is
+  /// created lazily on the first pattern evaluation that actually
+  /// morselizes. Results are identical at any thread count; only the
+  /// ExecStats attribution of driver-side index scans can differ.
+  int threads = 1;
   /// Minimum root fan-out (context nodes, root-step candidates, or input
   /// tuples) before a pattern evaluation is morselized.
   int parallel_min_fanout = 256;

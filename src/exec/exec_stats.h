@@ -9,6 +9,7 @@
 namespace xqtp::exec {
 
 using xqtp::CountBatch;
+using xqtp::CountCostEstimate;
 using xqtp::CountCowColumnCopies;
 using xqtp::CountIndexEntries;
 using xqtp::CountIndexSkip;

@@ -20,6 +20,7 @@
 
 #include "common/fault_injection.h"
 #include "common/interner.h"
+#include "exec/cost_model.h"
 #include "exec/exec_stats.h"
 #include "storage/node_table.h"
 #include "xdm/sequence_ops.h"
@@ -301,11 +302,11 @@ void PrewarmPatternIndexes(const xml::Document& doc,
                            const pattern::TreePattern& tp, PatternAlgo algo) {
   if (tp.root == nullptr) return;
   PrewarmSteps(doc, *tp.root);
-  // The cost model reads the lazily-computed document statistics.
+  // The cost model reads the lazily-computed document statistics. It
+  // never picks the shredded algorithm, so only kShredded itself needs
+  // the document's NodeTable.
   doc.Stats();
-  if (algo == PatternAlgo::kShredded || algo == PatternAlgo::kCostBased) {
-    storage::NodeTable::For(doc);
-  }
+  if (algo == PatternAlgo::kShredded) storage::NodeTable::For(doc);
 }
 
 bool TryEvalPatternParallel(const pattern::TreePattern& tp,
@@ -556,6 +557,9 @@ Result<TupleBatch> EvalPatternTuplesParallel(const pattern::TreePattern& tp,
     // Workers only READ the shared input batch (immutable columns) and
     // write into their own builder — no synchronization beyond the pool's.
     PatternBatchBuilder builder(in);
+    // A cost-based choice is resolved per morsel: the chooser memoizes
+    // per context shape and is not shared across threads.
+    AlgoChooser chooser(tp);
     Status err = GovernorPoll();  // observe cancellation between morsels
 #if XQTP_FAULT_INJECTION
     if (err.ok()) err = fault::Poll("exec.parallel.morsel");
@@ -568,8 +572,11 @@ Result<TupleBatch> EvalPatternTuplesParallel(const pattern::TreePattern& tp,
       // par == nullptr: tuple-level workers must not nest into the pool
       // (ThreadPool::Run is non-reentrant). EvalPattern still counts one
       // pattern evaluation per row, exactly like the sequential loop.
-      Result<std::vector<BindingRow>> rows =
-          EvalPattern(tp, in.Value(*ctx_col, i), algo, nullptr);
+      const xdm::Sequence& ctx = in.Value(*ctx_col, i);
+      Result<std::vector<BindingRow>> rows = EvalPattern(
+          tp, ctx,
+          algo == PatternAlgo::kCostBased ? chooser.Choose(ctx) : algo,
+          nullptr);
       if (!rows.ok()) {
         err = rows.status();
         break;

@@ -89,25 +89,26 @@ const DocumentStats& Document::Stats() const {
     ReaderLock lock(&lazy_mu_);
     if (stats_built_) return stats_;
   }
-  // Warm the dependencies before taking the lock (they lock themselves).
-  const size_t all_nodes = AllNodes().size();
-  AllElements();
   WriterLock lock(&lazy_mu_);
   if (!stats_built_) {
-    stats_.node_count = static_cast<int64_t>(all_nodes);
+    // One pass over the arena: counting needs none of the lazily-built
+    // node lists (AllNodes alone would hold a pointer per node).
     int64_t internal = 0;
     int64_t children = 0;
-    for (const Node* n : AllElementsLocked()) {
+    for (const Node& n : arena_) {
+      if (n.kind == NodeKind::kAttribute) continue;
+      ++stats_.node_count;
+      if (n.kind != NodeKind::kElement) continue;
+      ++stats_.element_count;
       int64_t c_count = 0;
-      for (const Node* c = n->first_child; c != nullptr;
-           c = c->next_sibling) {
+      for (const Node* c = n.first_child; c != nullptr; c = c->next_sibling) {
         ++c_count;
       }
       if (c_count > 0) {
         ++internal;
         children += c_count;
       }
-      stats_.max_depth = std::max(stats_.max_depth, n->depth);
+      stats_.max_depth = std::max(stats_.max_depth, n.depth);
     }
     // Average fan-out of the nodes that branch — this drives how fast a
     // context's subtree share shrinks with depth.
@@ -151,6 +152,11 @@ const DocumentExtension* Document::GetOrBuildExtension(
   std::unique_ptr<DocumentExtension> built(factory(*this));
   WriterLock lock(&lazy_mu_);
   if (extension_ == nullptr) extension_ = std::move(built);
+  return extension_.get();
+}
+
+const DocumentExtension* Document::FindExtension() const {
+  ReaderLock lock(&lazy_mu_);
   return extension_.get();
 }
 

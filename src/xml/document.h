@@ -18,9 +18,10 @@ namespace xqtp::xml {
 /// Structural statistics of a document, computed lazily like the tag
 /// indexes (consumed by the cost model in exec/cost_model.h).
 struct DocumentStats {
-  int64_t node_count = 0;   ///< document + elements + text nodes
-  double avg_fanout = 1.1;  ///< average children per *branching* element
-  int max_depth = 1;        ///< deepest element level
+  int64_t node_count = 0;     ///< document + elements + text nodes
+  int64_t element_count = 0;  ///< elements only
+  double avg_fanout = 1.1;    ///< average children per *branching* element
+  int max_depth = 1;          ///< deepest element level
 };
 
 /// Base class for lazily-attached per-document derived structures built
@@ -72,6 +73,10 @@ class Document {
   /// lifetime is tied to the document.
   const DocumentExtension* GetOrBuildExtension(
       DocumentExtension* (*factory)(const Document&)) const;
+
+  /// The document's extension if one has been built, else nullptr; never
+  /// builds one.
+  const DocumentExtension* FindExtension() const;
 
   /// All attribute nodes with the given name, in document order.
   const std::vector<const Node*>& AttributesByName(Symbol name) const;

@@ -258,6 +258,32 @@ TEST(ThreadPoolTest, RunWithZeroCountIsANoOp) {
   pool.Run(0, [](int) { FAIL() << "fn called for empty batch"; });
 }
 
+// The cost model never picks the shredded algorithm, so a cost-based run
+// pre-warms only the tag streams: the document's relational NodeTable
+// (storage/node_table.h, ~a node's worth of bytes per node) is built for
+// kShredded alone. The per-row increase step runs on the tuple-level
+// morsel driver; `//open_auction` on the root fan-out driver.
+TEST_F(ParallelEvalTest, CostBasedParallelRunBuildsNoNodeTable) {
+  engine::Engine::GlobalMap globals{{"input", {xdm::Item(doc_->root())}}};
+  auto cq = engine_.Compile("$input//open_auction/bidder[1]/increase");
+  ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+  int64_t before = ParallelEvaluationCountForTesting();
+  auto cb = engine_.Execute(*cq, globals,
+                            ParallelOpts(PatternAlgo::kCostBased, 2));
+  ASSERT_TRUE(cb.ok()) << cb.status().ToString();
+  EXPECT_GT(ParallelEvaluationCountForTesting(), before)
+      << "the query never reached the parallel driver";
+  EXPECT_EQ(doc_->FindExtension(), nullptr)
+      << "a cost-based run built the shredded NodeTable";
+
+  // Control: the shredded algorithm on the same path does build it.
+  auto sh = engine_.Execute(*cq, globals,
+                            ParallelOpts(PatternAlgo::kShredded, 2));
+  ASSERT_TRUE(sh.ok()) << sh.status().ToString();
+  EXPECT_NE(doc_->FindExtension(), nullptr);
+  EXPECT_EQ(*cb, *sh);
+}
+
 // The legacy Engine::Execute(q, globals, algo, plan) overload is
 // documented as the sequential path (threads = 1): per-algorithm
 // ExecStats must stay deterministic, so it must never route through the

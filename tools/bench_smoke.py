@@ -13,6 +13,9 @@ BENCH_smoke.json diffs are stable across runs. When a baseline is given
 both is compared on mean-ns and a delta table is printed. The delta is
 WARN-ONLY: smoke timings on shared CI machines are too noisy to gate on,
 the table exists so a perf cliff is visible in the log, not to fail it.
+For bench_costmodel, which times each query under every fixed algorithm
+and the cost-based choice, a second warn-only table prints the choice's
+time against the fastest fixed algorithm's.
 Exit is non-zero only for malformed inputs.
 """
 
@@ -39,6 +42,31 @@ def load(path):
     return records
 
 
+def report_cost_based(records):
+    """Prints CostBased's time over the best fixed NL/SC/TJ time, per
+    bench_costmodel query (warn-only)."""
+    fixed = ("NLJoin", "SCJoin", "TwigJoin")
+    by_query = {}
+    for r in records:
+        if r.get("bench") != "bench_costmodel":
+            continue
+        by_query.setdefault((r["query"], r.get("threads", 1)), {})[
+            r["algo"]] = r["ns"]
+    rows = []
+    for (query, threads), times in sorted(by_query.items()):
+        cb = times.get("CostBased")
+        best = [times[a] for a in fixed if times.get(a)]
+        if not cb or not best:
+            continue
+        rows.append((cb / min(best), query, threads))
+    if not rows:
+        return
+    print("bench_smoke: CostBased vs best fixed algorithm (warn-only):")
+    for ratio, query, threads in rows:
+        marker = "  ** off the best? **" if ratio > 1.1 else ""
+        print(f"  x{ratio:5.2f}  t{threads}  {query}{marker}")
+
+
 def main(argv):
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", required=True)
@@ -55,6 +83,7 @@ def main(argv):
         json.dump(records, f, indent=2)
         f.write("\n")
     print(f"bench_smoke: wrote {len(records)} records to {args.out}")
+    report_cost_based(records)
 
     if args.baseline:
         try:
