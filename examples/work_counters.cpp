@@ -8,8 +8,8 @@
 //   $ ./build/examples/work_counters
 #include <cstdio>
 
+#include "common/exec_stats.h"
 #include "engine/engine.h"
-#include "exec/exec_stats.h"
 #include "workload/member_gen.h"
 
 int main() {
@@ -57,14 +57,14 @@ int main() {
                 "index entries", "index skips");
     for (PatternAlgo algo : {PatternAlgo::kNLJoin, PatternAlgo::kStaircase,
                              PatternAlgo::kTwig, PatternAlgo::kStream}) {
-      xqtp::exec::ScopedExecStats scope;
+      xqtp::ScopedExecStats scope;
       auto res = engine.Execute(*cq, globals, algo);
       if (!res.ok()) {
         std::printf("  %-10s error: %s\n", PatternAlgoName(algo),
                     res.status().ToString().c_str());
         continue;
       }
-      const xqtp::exec::ExecStats& s = scope.stats();
+      const xqtp::ExecStats& s = scope.stats();
       std::printf("  %-10s %15lld %15lld %12lld   (%zu results)\n",
                   PatternAlgoName(algo),
                   static_cast<long long>(s.nodes_visited),

@@ -55,9 +55,11 @@ struct CrossCheckInput {
 };
 
 /// Runs every route (Core interpreter, unoptimized plan, optimized plan
-/// x each pattern algorithm) and compares all results against the first
-/// available route. Two erroring routes agree regardless of message.
-/// Returns Internal naming the diverging route on the first mismatch.
+/// at two-row batches, optimized plan x each pattern algorithm — plus a
+/// two-thread morsel-driver leg per algorithm when the plan has a
+/// pattern) and compares all results against the first available route.
+/// Two erroring routes agree regardless of message. Returns Internal
+/// naming the diverging route on the first mismatch.
 [[nodiscard]]
 Status CrossCheck(const CrossCheckInput& in, const core::VarTable& vars,
                   const exec::Bindings& bindings);

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <limits>
 
-#include "exec/exec_stats.h"
+#include "common/exec_stats.h"
 #include "xdm/sequence_ops.h"
 
 namespace xqtp::exec {

@@ -1,9 +1,10 @@
-// Evaluation of algebra plans. Tuple operators execute batch-at-a-time by
-// default — a pull pipeline of columnar TupleBatches (exec/tuple.h)
-// streaming between pipeline-able operators — with a row-at-a-time
-// TupleSeq reference path behind TupleExecMode::kRow. TupleTreePattern
-// dispatches to the configured physical algorithm, by default the cost
-// model's per-operator choice among NLJoin / Staircase / Twig.
+// Evaluation of algebra plans. Tuple operators execute batch-at-a-time —
+// a pull pipeline of columnar TupleBatches (exec/tuple.h) streaming
+// between pipeline-able operators; this is the one physical execution
+// path for tuple plans (the independent reference is the Core
+// interpreter, exec/core_interp.h). TupleTreePattern dispatches to the
+// configured physical algorithm, by default the cost model's per-operator
+// choice among NLJoin / Staircase / Twig.
 #ifndef XQTP_EXEC_EVALUATOR_H_
 #define XQTP_EXEC_EVALUATOR_H_
 
@@ -22,19 +23,6 @@
 #include "exec/tuple.h"
 
 namespace xqtp::exec {
-
-/// Physical execution mode for tuple plans.
-enum class TupleExecMode {
-  /// Columnar batch pipeline (default): tuple operators stream
-  /// ~EvalOptions::tuple_batch_rows-row TupleBatches (exec/tuple.h) —
-  /// Select filters via selection vectors, MapToItem reads the field
-  /// column directly, patterns broadcast single-tuple inputs.
-  kBatch,
-  /// Row-at-a-time reference path: every tuple operator materializes a
-  /// full TupleSeq. Kept as the differential baseline (cross-check
-  /// oracle, bench_batch) — results are bit-identical to kBatch.
-  kRow,
-};
 
 struct EvalOptions {
   /// Physical algorithm for TupleTreePattern operators. The default,
@@ -75,12 +63,12 @@ struct EvalOptions {
   /// Cancel() from any thread makes the evaluation return kCancelled at
   /// the next governor check. Null = not cancellable.
   std::shared_ptr<CancelToken> cancel_token;
-  /// How tuple plans execute (see TupleExecMode). Results are identical
-  /// in both modes; only the ExecStats batch counters differ.
-  TupleExecMode tuple_exec = TupleExecMode::kBatch;
-  /// Target rows per TupleBatch in kBatch mode (minimum 1). Small values
-  /// force multi-batch streams — the cross-check oracle and unit tests
-  /// use them to exercise batch boundaries.
+  /// Target rows per TupleBatch (minimum 1). Tuple operators stream
+  /// batches of about this many rows: Select filters via selection
+  /// vectors, MapToItem reads the field column directly, patterns
+  /// broadcast single-tuple inputs. Small values force multi-batch
+  /// streams — the cross-check oracle and unit tests use them to exercise
+  /// batch boundaries.
   int tuple_batch_rows = 1024;
 
   /// True when any governor limit is set (a QueryGovernor is installed

@@ -174,8 +174,8 @@ class GovernorTicker {
 /// trips any limit mid-accumulation unwinds back to zero accounted bytes
 /// and the governor can be reused (no partial-result leak in the
 /// accountant). The columnar tuple pipeline charges once per produced
-/// TupleBatch (TupleBatch::ApproxBytes); row-mode loops charge per
-/// materialized tuple/sequence. Charges are batched locally and flushed to the shared
+/// TupleBatch (TupleBatch::ApproxBytes); item loops charge per
+/// materialized sequence. Charges are batched locally and flushed to the shared
 /// accountant every kFlushBytes (per-part charges in the evaluator's
 /// accumulation loops would otherwise pay an atomic RMW per tuple —
 /// measurable on cheap plans, see bench_governor). The accounting

@@ -4,8 +4,8 @@
 // unbounded), so it carries a strided governor poll: a deadline or an
 // external cancel interrupts the traversal mid-enumeration, surfacing
 // from EvalPatternNL as the governor's Status.
+#include "common/exec_stats.h"
 #include "common/fault_injection.h"
-#include "exec/exec_stats.h"
 #include "exec/governor.h"
 #include "exec/pattern_eval.h"
 #include "xdm/sequence_ops.h"

@@ -18,10 +18,10 @@
 #include <optional>
 #include <utility>
 
+#include "common/exec_stats.h"
 #include "common/fault_injection.h"
 #include "common/interner.h"
 #include "exec/cost_model.h"
-#include "exec/exec_stats.h"
 #include "storage/node_table.h"
 #include "xdm/sequence_ops.h"
 #include "xml/document.h"
@@ -460,7 +460,7 @@ void PatternBatchBuilder::EnsureBindingColumn(Symbol field, size_t row) {
   if (broadcast_) {
     // A binding that overwrites an input field forces that column off the
     // shared path: materialize it (the copy-on-write "write"), keeping
-    // the input value as the per-row default exactly like Tuple::Set.
+    // the input value as the per-row default that a binding overwrites.
     for (size_t c = 0; c < in_.column_count(); ++c) {
       if (in_.columns()[c].column->field == field) {
         col.src = static_cast<int>(c);

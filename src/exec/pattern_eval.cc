@@ -9,9 +9,9 @@
 
 #include <algorithm>
 
+#include "common/exec_stats.h"
 #include "common/fault_injection.h"
 #include "exec/cost_model.h"
-#include "exec/exec_stats.h"
 #include "exec/governor.h"
 #include "exec/parallel.h"
 #include "storage/node_table.h"

@@ -19,8 +19,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/exec_stats.h"
 #include "common/fault_injection.h"
-#include "exec/exec_stats.h"
 #include "exec/governor.h"
 #include "exec/pattern_eval.h"
 #include "xdm/sequence_ops.h"

@@ -17,8 +17,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/exec_stats.h"
 #include "common/fault_injection.h"
-#include "exec/exec_stats.h"
 #include "exec/governor.h"
 #include "exec/pattern_eval.h"
 #include "xdm/sequence_ops.h"

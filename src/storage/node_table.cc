@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "common/exec_stats.h"
 #include "common/fault_injection.h"
-#include "exec/exec_stats.h"
 #include "exec/governor.h"
 #include "xdm/sequence_ops.h"
 
@@ -170,7 +170,7 @@ class ShreddedEval {
           if (q.axis == Axis::kDescendantOrSelf && RowMatches(c, q)) {
             if (q.position == 0 || ++count == q.position) out.push_back(c);
           }
-          exec::CountIndexSkip();
+          CountIndexSkip();
           auto it = std::upper_bound(
               rows.begin() +
                   static_cast<ptrdiff_t>(q.position == 0 ? pos : 0),
@@ -179,7 +179,7 @@ class ShreddedEval {
           while (scan < rows.size() && table_.post(rows[scan]) <
                                            table_.post(c)) {
             if (!gov_.Tick()) return out;
-            exec::CountIndexEntries(1);
+            CountIndexEntries(1);
             if (q.position == 0) {
               out.push_back(rows[scan]);
             } else if (++count == q.position) {
@@ -201,13 +201,13 @@ class ShreddedEval {
       case Axis::kAttribute: {
         for (RowId c : ctx) {
           int count = 0;
-          exec::CountIndexSkip();
+          CountIndexSkip();
           auto it = std::upper_bound(rows.begin(), rows.end(), c);
           for (size_t scan = static_cast<size_t>(it - rows.begin());
                scan < rows.size() && table_.post(rows[scan]) < table_.post(c);
                ++scan) {
             if (!gov_.Tick()) return out;
-            exec::CountIndexEntries(1);
+            CountIndexEntries(1);
             if (table_.parent(rows[scan]) != c) continue;
             if (q.position == 0) {
               out.push_back(rows[scan]);

@@ -2,9 +2,13 @@
 // arguments observable and assertable.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/exec_stats.h"
 #include "engine/engine.h"
-#include "exec/exec_stats.h"
 #include "workload/member_gen.h"
+#include "workload/xmark_gen.h"
+#include "workload/xmark_queries.h"
 
 namespace xqtp::exec {
 namespace {
@@ -116,6 +120,159 @@ TEST_F(ExecStatsTest, PatternEvalsCounted) {
   ExecStats s = Measure("$input//t1", PatternAlgo::kNLJoin);
   EXPECT_EQ(s.pattern_evals, 1);  // a single TupleTreePattern evaluation
   EXPECT_NE(s.ToString().find("pattern_evals=1"), std::string::npos);
+}
+
+// Counter gate: the exact work every XMark corpus query does under each
+// serving algorithm at threads = 1 on a factor-0.02 document. The
+// counters are deterministic, so this gate costs no timing noise; a
+// changed value means the evaluator did different work, and needs a
+// CHANGES.md line that explains it. On a mismatch the failure message
+// prints the measured row in table syntax.
+struct GoldenCounters {
+  const char* query;
+  PatternAlgo algo;
+  int64_t nodes_visited;
+  int64_t index_entries_scanned;
+  int64_t index_skips;
+  int64_t pattern_evals;
+  int64_t batches;
+  int64_t tuples_materialized;
+  int64_t cow_column_copies;
+};
+
+constexpr PatternAlgo kGateAlgos[] = {
+    PatternAlgo::kNLJoin, PatternAlgo::kStaircase, PatternAlgo::kTwig,
+    PatternAlgo::kCostBased};
+
+// Columns: query, algo, nodes_visited, index_entries_scanned,
+// index_skips, pattern_evals, batches, tuples_materialized,
+// cow_column_copies.
+// clang-format off
+constexpr GoldenCounters kGolden[] = {
+    {"XQ1", PatternAlgo::kNLJoin, 64, 0, 0, 3, 6, 55, 0},
+    {"XQ1", PatternAlgo::kStaircase, 0, 54, 4, 3, 6, 55, 0},
+    {"XQ1", PatternAlgo::kTwig, 0, 54, 4, 3, 6, 55, 0},
+    {"XQ1", PatternAlgo::kCostBased, 0, 54, 4, 3, 6, 55, 0},
+    {"XQ2", PatternAlgo::kNLJoin, 336, 0, 0, 46, 49, 123, 0},
+    {"XQ2", PatternAlgo::kStaircase, 0, 104, 48, 46, 49, 123, 0},
+    {"XQ2", PatternAlgo::kTwig, 0, 104, 48, 46, 49, 123, 0},
+    {"XQ2", PatternAlgo::kCostBased, 0, 104, 48, 46, 49, 123, 0},
+    {"XQ3", PatternAlgo::kNLJoin, 927, 0, 0, 92, 154, 117, 0},
+    {"XQ3", PatternAlgo::kStaircase, 0, 118, 94, 92, 154, 117, 0},
+    {"XQ3", PatternAlgo::kTwig, 0, 118, 94, 92, 154, 117, 0},
+    {"XQ3", PatternAlgo::kCostBased, 0, 118, 94, 92, 154, 117, 0},
+    {"XQ4", PatternAlgo::kNLJoin, 2718, 0, 0, 1, 2, 21, 0},
+    {"XQ4", PatternAlgo::kStaircase, 0, 82, 26, 1, 2, 21, 0},
+    {"XQ4", PatternAlgo::kTwig, 0, 82, 26, 1, 2, 21, 0},
+    {"XQ4", PatternAlgo::kCostBased, 0, 82, 26, 1, 2, 21, 0},
+    {"XQ5", PatternAlgo::kNLJoin, 142, 0, 0, 18, 37, 35, 0},
+    {"XQ5", PatternAlgo::kStaircase, 0, 36, 20, 18, 37, 35, 0},
+    {"XQ5", PatternAlgo::kTwig, 0, 36, 20, 18, 37, 35, 0},
+    {"XQ5", PatternAlgo::kCostBased, 0, 36, 20, 18, 37, 35, 0},
+    {"XQ6", PatternAlgo::kNLJoin, 48, 0, 0, 1, 2, 37, 0},
+    {"XQ6", PatternAlgo::kStaircase, 0, 340, 9, 1, 2, 37, 0},
+    {"XQ6", PatternAlgo::kTwig, 0, 340, 9, 1, 2, 37, 0},
+    {"XQ6", PatternAlgo::kCostBased, 0, 340, 9, 1, 2, 37, 0},
+    {"XQ7", PatternAlgo::kNLJoin, 242, 0, 0, 1, 2, 16, 0},
+    {"XQ7", PatternAlgo::kStaircase, 0, 368, 58, 1, 2, 16, 0},
+    {"XQ7", PatternAlgo::kTwig, 0, 368, 58, 1, 2, 16, 0},
+    {"XQ7", PatternAlgo::kCostBased, 0, 368, 58, 1, 2, 16, 0},
+    {"XQ8", PatternAlgo::kNLJoin, 664, 0, 0, 1, 2, 27, 0},
+    {"XQ8", PatternAlgo::kStaircase, 0, 178, 128, 1, 2, 27, 0},
+    {"XQ8", PatternAlgo::kTwig, 0, 178, 128, 1, 2, 27, 0},
+    {"XQ8", PatternAlgo::kCostBased, 0, 178, 128, 1, 2, 27, 0},
+    {"XQ13", PatternAlgo::kNLJoin, 227, 0, 0, 1, 2, 37, 0},
+    {"XQ13", PatternAlgo::kStaircase, 0, 376, 45, 1, 2, 37, 0},
+    {"XQ13", PatternAlgo::kTwig, 0, 376, 45, 1, 2, 37, 0},
+    {"XQ13", PatternAlgo::kCostBased, 0, 376, 45, 1, 2, 37, 0},
+    {"XQ14", PatternAlgo::kNLJoin, 406, 0, 0, 73, 76, 109, 0},
+    {"XQ14", PatternAlgo::kStaircase, 0, 412, 81, 73, 76, 109, 0},
+    {"XQ14", PatternAlgo::kTwig, 0, 412, 81, 73, 76, 109, 0},
+    {"XQ14", PatternAlgo::kCostBased, 0, 412, 81, 73, 76, 109, 0},
+    {"XQ15", PatternAlgo::kNLJoin, 447, 0, 0, 1, 2, 58, 0},
+    {"XQ15", PatternAlgo::kStaircase, 0, 141, 85, 1, 2, 58, 0},
+    {"XQ15", PatternAlgo::kTwig, 0, 141, 85, 1, 2, 58, 0},
+    {"XQ15", PatternAlgo::kCostBased, 0, 141, 85, 1, 2, 58, 0},
+    {"XQ17", PatternAlgo::kNLJoin, 317, 0, 0, 52, 68, 66, 0},
+    {"XQ17", PatternAlgo::kStaircase, 0, 67, 54, 52, 68, 66, 0},
+    {"XQ17", PatternAlgo::kTwig, 0, 67, 54, 52, 68, 66, 0},
+    {"XQ17", PatternAlgo::kCostBased, 0, 67, 54, 52, 68, 66, 0},
+    {"XQ19", PatternAlgo::kNLJoin, 2929, 0, 0, 1, 2, 37, 0},
+    {"XQ19", PatternAlgo::kStaircase, 0, 72, 37, 1, 2, 37, 0},
+    {"XQ19", PatternAlgo::kTwig, 0, 108, 73, 1, 2, 37, 0},
+    {"XQ19", PatternAlgo::kCostBased, 0, 72, 37, 1, 2, 37, 0},
+    {"XQ20", PatternAlgo::kNLJoin, 5466, 0, 0, 53, 98, 137, 0},
+    {"XQ20", PatternAlgo::kStaircase, 0, 186, 104, 53, 98, 137, 0},
+    {"XQ20", PatternAlgo::kTwig, 0, 270, 188, 53, 98, 137, 0},
+    {"XQ20", PatternAlgo::kCostBased, 0, 186, 104, 53, 98, 137, 0},
+};
+// clang-format on
+
+const char* AlgoEnumName(PatternAlgo algo) {
+  switch (algo) {
+    case PatternAlgo::kNLJoin: return "kNLJoin";
+    case PatternAlgo::kStaircase: return "kStaircase";
+    case PatternAlgo::kTwig: return "kTwig";
+    case PatternAlgo::kCostBased: return "kCostBased";
+    default: return "?";
+  }
+}
+
+std::string GoldenRow(const std::string& query, PatternAlgo algo,
+                      const ExecStats& s) {
+  return "{\"" + query + "\", PatternAlgo::" + AlgoEnumName(algo) + ", " +
+         std::to_string(s.nodes_visited) + ", " +
+         std::to_string(s.index_entries_scanned) + ", " +
+         std::to_string(s.index_skips) + ", " +
+         std::to_string(s.pattern_evals) + ", " +
+         std::to_string(s.batches) + ", " +
+         std::to_string(s.tuples_materialized) + ", " +
+         std::to_string(s.cow_column_copies) + "},";
+}
+
+TEST(ExecStatsGateTest, XmarkCorpusCountersArePinned) {
+  engine::Engine engine;
+  workload::XmarkParams p;
+  p.factor = 0.02;
+  const xml::Document* doc = engine.AddDocument(
+      "x", workload::GenerateXmark(p, engine.interner()));
+  engine::Engine::GlobalMap globals{{"input", {xdm::Item(doc->root())}}};
+  size_t checked = 0;
+  for (const workload::XmarkQuery& q : workload::XmarkQueryCorpus()) {
+    auto cq = engine.Compile(q.text);
+    ASSERT_TRUE(cq.ok()) << q.id << ": " << cq.status().ToString();
+    for (PatternAlgo algo : kGateAlgos) {
+      EvalOptions opts;
+      opts.algo = algo;
+      opts.threads = 1;
+      ExecStats s;
+      {
+        ScopedExecStats scope;
+        auto res = engine.Execute(*cq, globals, opts);
+        ASSERT_TRUE(res.ok()) << q.id << ": " << res.status().ToString();
+        s = scope.stats();
+      }
+      const GoldenCounters* g = nullptr;
+      for (const GoldenCounters& row : kGolden) {
+        if (q.id == row.query && row.algo == algo) g = &row;
+      }
+      const std::string measured = GoldenRow(q.id, algo, s);
+      if (g == nullptr) {
+        ADD_FAILURE() << "no golden row; measured:\n  " << measured;
+        continue;
+      }
+      ++checked;
+      EXPECT_EQ(s.nodes_visited, g->nodes_visited) << measured;
+      EXPECT_EQ(s.index_entries_scanned, g->index_entries_scanned) << measured;
+      EXPECT_EQ(s.index_skips, g->index_skips) << measured;
+      EXPECT_EQ(s.pattern_evals, g->pattern_evals) << measured;
+      EXPECT_EQ(s.batches, g->batches) << measured;
+      EXPECT_EQ(s.tuples_materialized, g->tuples_materialized) << measured;
+      EXPECT_EQ(s.cow_column_copies, g->cow_column_copies) << measured;
+    }
+  }
+  // Every golden row was exercised: the table and the corpus agree.
+  EXPECT_EQ(checked, sizeof(kGolden) / sizeof(kGolden[0]));
 }
 
 }  // namespace
