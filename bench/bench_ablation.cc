@@ -77,7 +77,7 @@ void Run(benchmark::State& state, const std::string& q,
     globals[g] = {xdm::Item(doc.root())};
   }
   for (auto _ : state) {
-    auto res = e.Execute(*cq, globals, exec::PatternAlgo::kStaircase);
+    auto res = e.Execute(*cq, globals, {.algo = exec::PatternAlgo::kStaircase});
     if (!res.ok()) {
       state.SkipWithError(res.status().ToString().c_str());
       return;

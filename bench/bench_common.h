@@ -227,7 +227,7 @@ inline void RunQueryBenchmark(benchmark::State& state, const std::string& q,
   }
 }
 
-/// Algorithm-only convenience used by the existing benches: the legacy
+/// Algorithm-only convenience used by the existing benches: the
 /// sequential path (threads = 1).
 inline void RunQueryBenchmark(benchmark::State& state, const std::string& q,
                               const xml::Document& doc,

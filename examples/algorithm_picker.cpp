@@ -19,7 +19,7 @@ double TimeMs(xqtp::engine::Engine* engine,
               xqtp::exec::PatternAlgo algo, int reps) {
   auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < reps; ++i) {
-    auto res = engine->Execute(cq, globals, algo);
+    auto res = engine->Execute(cq, globals, {.algo = algo});
     if (!res.ok()) return -1;
   }
   return std::chrono::duration<double, std::milli>(

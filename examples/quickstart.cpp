@@ -42,7 +42,7 @@ int main() {
   for (auto algo : {xqtp::exec::PatternAlgo::kNLJoin,
                     xqtp::exec::PatternAlgo::kStaircase,
                     xqtp::exec::PatternAlgo::kTwig}) {
-    auto result = engine.Execute(*query, globals, algo);
+    auto result = engine.Execute(*query, globals, {.algo = algo});
     if (!result.ok()) {
       std::fprintf(stderr, "execute: %s\n",
                    result.status().ToString().c_str());

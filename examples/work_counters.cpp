@@ -58,7 +58,7 @@ int main() {
     for (PatternAlgo algo : {PatternAlgo::kNLJoin, PatternAlgo::kStaircase,
                              PatternAlgo::kTwig, PatternAlgo::kStream}) {
       xqtp::ScopedExecStats scope;
-      auto res = engine.Execute(*cq, globals, algo);
+      auto res = engine.Execute(*cq, globals, {.algo = algo});
       if (!res.ok()) {
         std::printf("  %-10s error: %s\n", PatternAlgoName(algo),
                     res.status().ToString().c_str());

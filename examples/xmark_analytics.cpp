@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
                       xqtp::exec::PatternAlgo::kStaircase,
                       xqtp::exec::PatternAlgo::kTwig}) {
       auto start = std::chrono::steady_clock::now();
-      auto res = engine.Execute(*cq, globals, algo);
+      auto res = engine.Execute(*cq, globals, {.algo = algo});
       auto elapsed = std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - start);
       if (!res.ok()) {

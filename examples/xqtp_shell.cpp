@@ -72,7 +72,7 @@ void RunQuery(ShellState* st, const std::string& query) {
     }
     globals[g] = {xqtp::xdm::Item(st->current->root())};
   }
-  auto res = st->engine.Execute(*cq, globals, st->algo);
+  auto res = st->engine.Execute(*cq, globals, {.algo = st->algo});
   if (!res.ok()) {
     std::printf("%s\n", res.status().ToString().c_str());
     return;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "exec/core_interp.h"
-#include "exec/parallel.h"
 
 namespace xqtp::analysis {
 
@@ -80,24 +79,6 @@ bool PlanHasPattern(const algebra::Op& op) {
   return algebra::ComputeStats(op).tree_pattern_ops > 0;
 }
 
-/// Parallel-evaluation parameters for the oracle legs: a tiny forced
-/// fan-out so even small witness inputs morselize, exercising the
-/// driver's partitioning and order-preserving merge on every iteration.
-/// The two-thread pool is shared across all checks and intentionally
-/// leaked (it must outlive any static-destruction order).
-const exec::ParallelContext& OracleParallelContext() {
-  static exec::ThreadPool* pool = new exec::ThreadPool(2);
-  static const exec::ParallelContext par = [] {
-    exec::ParallelContext p;
-    p.pool = [](int) { return pool; };
-    p.threads = 2;
-    p.min_fanout = 2;
-    p.morsels_per_thread = 2;
-    return p;
-  }();
-  return par;
-}
-
 }  // namespace
 
 const std::vector<exec::PatternAlgo>& CrossCheckAlgos() {
@@ -116,39 +97,30 @@ Status CrossCheckPattern(const pattern::TreePattern& tp,
   auto reference = exec::EvalPattern(tp, context, exec::PatternAlgo::kNLJoin);
   XQTP_RETURN_NOT_OK(reference.status());
   for (exec::PatternAlgo algo : CrossCheckAlgos()) {
-    // Sequential leg (the reference itself for NLJoin), then a parallel
-    // leg driving the same algorithm through the morsel driver — both
-    // must be bit-identical to the nested-loop reference.
-    for (int leg = 0; leg < 2; ++leg) {
-      bool parallel = leg == 1;
-      if (!parallel && algo == exec::PatternAlgo::kNLJoin) continue;
-      auto rows = exec::EvalPattern(
-          tp, context, algo, parallel ? &OracleParallelContext() : nullptr);
-      std::string leg_name =
-          std::string(exec::PatternAlgoName(algo)) + (parallel ? "+morsel" : "");
-      if (!rows.ok()) {
-        return Status::Internal(
-            std::string("cross-check: ") + leg_name +
-            " failed where NLJoin succeeded on " + tp.ToString(interner) +
-            ": " + rows.status().ToString());
-      }
-      size_t diff = 0;
-      if (!SameRows(reference.value(), rows.value(), &diff)) {
-        std::string msg = std::string("cross-check: ") + leg_name +
-                          " diverges from NLJoin";
-        msg += "\n  pattern: " + tp.ToString(interner);
-        msg += "\n  row " + std::to_string(diff) + ": NLJoin=" +
-               (diff < reference.value().size()
-                    ? RenderRow(reference.value()[diff], interner)
-                    : std::string("<absent>")) +
-               " vs " + leg_name + "=" +
-               (diff < rows.value().size()
-                    ? RenderRow(rows.value()[diff], interner)
-                    : std::string("<absent>"));
-        msg += "\n  rows: NLJoin=" + std::to_string(reference.value().size()) +
-               " " + leg_name + "=" + std::to_string(rows.value().size());
-        return Status::Internal(std::move(msg));
-      }
+    if (algo == exec::PatternAlgo::kNLJoin) continue;  // the reference
+    auto rows = exec::EvalPattern(tp, context, algo);
+    const std::string name = exec::PatternAlgoName(algo);
+    if (!rows.ok()) {
+      return Status::Internal("cross-check: " + name +
+                              " failed where NLJoin succeeded on " +
+                              tp.ToString(interner) + ": " +
+                              rows.status().ToString());
+    }
+    size_t diff = 0;
+    if (!SameRows(reference.value(), rows.value(), &diff)) {
+      std::string msg = "cross-check: " + name + " diverges from NLJoin";
+      msg += "\n  pattern: " + tp.ToString(interner);
+      msg += "\n  row " + std::to_string(diff) + ": NLJoin=" +
+             (diff < reference.value().size()
+                  ? RenderRow(reference.value()[diff], interner)
+                  : std::string("<absent>")) +
+             " vs " + name + "=" +
+             (diff < rows.value().size()
+                  ? RenderRow(rows.value()[diff], interner)
+                  : std::string("<absent>"));
+      msg += "\n  rows: NLJoin=" + std::to_string(reference.value().size()) +
+             " " + name + "=" + std::to_string(rows.value().size());
+      return Status::Internal(std::move(msg));
     }
   }
   return Status::OK();
@@ -195,12 +167,12 @@ Status CrossCheck(const CrossCheckInput& in, const core::VarTable& vars,
         {std::string("plan(optimized, ") + exec::PatternAlgoName(algo) + ")",
          exec::Evaluate(*in.optimized, vars, bindings, opts)});
     if (has_pattern) {
-      // Parallel leg: the same plan through the morsel driver with a
-      // forced fan-out, validating partitioning + merge per iteration.
+      // Parallel leg: the same plan through the tuple-level morsel
+      // driver with a forced fan-out, so every pattern operator fed two
+      // or more tuples is partitioned and re-concatenated.
       exec::EvalOptions popts = opts;
       popts.threads = 2;
       popts.parallel_min_fanout = 2;
-      popts.parallel_morsels_per_thread = 2;
       routes.push_back({std::string("plan(optimized, ") +
                             exec::PatternAlgoName(algo) + ", threads=2)",
                         exec::Evaluate(*in.optimized, vars, bindings, popts)});

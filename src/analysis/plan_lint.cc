@@ -84,19 +84,6 @@ class Linter {
                                      "' is never read downstream");
           }
         }
-        const TupleProps* t = props_.Tuple(&n);
-        const pattern::PatternNode* ep = n.tp.ExtractionPoint();
-        if (t != nullptr && ep != nullptr && ep->output != kInvalidSymbol &&
-            n.tp.SingleOutputAtExtractionPoint()) {
-          const FieldProps* f = t->Field(ep->output);
-          if (f != nullptr && f->seq_ordered && f->seq_dup_free) {
-            Report("parallel-merge",
-                   "pattern output '" + FieldName(ep->output) +
-                       "' is proven ordered and duplicate-free across "
-                       "tuples; the morsel-parallel ordered merge could be "
-                       "a plain concatenation");
-          }
-        }
         break;
       }
       default:

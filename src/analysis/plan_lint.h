@@ -7,10 +7,6 @@
 //                   duplicate-free is still present in the plan
 //   dead-field      a tuple field is defined (MapFromItem binding or
 //                   pattern annotation) but never read downstream
-//   parallel-merge  a pattern's cross-tuple output is proven ordered and
-//                   duplicate-free, so the morsel-parallel driver's
-//                   ordered K-way merge is unnecessary — concatenating
-//                   the workers' outputs would already be correct
 //   const-select    a Select whose predicate is a literal (keeps or
 //                   drops every tuple)
 //   card-zero       an operator whose output is proven empty

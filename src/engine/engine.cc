@@ -259,16 +259,6 @@ std::vector<std::string> CompiledQuery::GlobalNames() const {
 
 Result<xdm::Sequence> Engine::Execute(const CompiledQuery& q,
                                       const GlobalMap& globals,
-                                      exec::PatternAlgo algo,
-                                      PlanChoice plan) const {
-  exec::EvalOptions opts;
-  opts.algo = algo;
-  opts.threads = 1;  // the legacy entry point stays sequential
-  return Execute(q, globals, opts, plan);
-}
-
-Result<xdm::Sequence> Engine::Execute(const CompiledQuery& q,
-                                      const GlobalMap& globals,
                                       const exec::EvalOptions& opts,
                                       PlanChoice plan) const {
   XQTP_FAULT_POINT("engine.execute");
@@ -307,7 +297,7 @@ Result<xdm::Sequence> Engine::Run(std::string_view query,
   for (const std::string& name : q.GlobalNames()) {
     globals[name] = xdm::Sequence{xdm::Item(doc.root())};
   }
-  return Execute(q, globals, algo);
+  return Execute(q, globals, {.algo = algo});
 }
 
 std::string Engine::Explain(const CompiledQuery& q) const {

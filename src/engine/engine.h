@@ -8,8 +8,8 @@
 //   auto q = engine.Compile("$input//person[emailaddress]/name"); // Result
 //   Engine::GlobalMap globals{
 //       {"input", {xdm::Item(doc.value()->root())}}};
-//   auto result = engine.Execute(*q, globals,
-//                                xqtp::exec::PatternAlgo::kTwig); // Result
+//   auto result = engine.Execute(
+//       *q, globals, {.algo = xqtp::exec::PatternAlgo::kTwig});  // Result
 //
 // Serving hot path (compiles through the sharded plan cache; repeated
 // queries skip the whole pipeline — see engine/plan_cache.h):
@@ -212,24 +212,17 @@ class Engine {
   /// Global bindings by variable name; a document binds as its root node.
   using GlobalMap = std::map<std::string, xdm::Sequence>;
 
-  /// Executes a compiled query with one pattern algorithm, by default the
-  /// EvalOptions{} one. This legacy entry point is the sequential path
-  /// (threads = 1), keeping per-algorithm ExecStats deterministic.
-  [[nodiscard]]
-  Result<xdm::Sequence> Execute(
-      const CompiledQuery& q, const GlobalMap& globals,
-      exec::PatternAlgo algo = exec::EvalOptions{}.algo,
-      PlanChoice plan = PlanChoice::kOptimized) const;
-
-  /// Executes a compiled query with full evaluation options — notably
-  /// EvalOptions::threads for the morsel-parallel driver (exec/parallel.h;
-  /// default 1 = sequential, 0 = one thread per hardware thread).
-  /// Evaluation runs under a StringInterner::ExecutionFreeze: no name may
-  /// be interned mid-query.
+  /// Executes a compiled query. EvalOptions picks the pattern algorithm
+  /// (`{.algo = ...}`; default the cost-based choice) and the thread
+  /// count: the default 1 is the sequential path, N > 1 partitions a
+  /// pattern operator's input tuples over a per-query pool
+  /// (exec/parallel.h), 0 = one thread per hardware thread. Evaluation
+  /// runs under a StringInterner::ExecutionFreeze: no name may be
+  /// interned mid-query.
   [[nodiscard]]
   Result<xdm::Sequence> Execute(const CompiledQuery& q,
                                 const GlobalMap& globals,
-                                const exec::EvalOptions& opts,
+                                const exec::EvalOptions& opts = {},
                                 PlanChoice plan = PlanChoice::kOptimized) const;
 
   /// The serving hot path: CompileCached + Execute. Repeated calls with

@@ -47,7 +47,6 @@ class Evaluator {
       par_ = std::make_unique<ParallelContext>();
       par_->threads = threads;
       par_->min_fanout = std::max(1, opts.parallel_min_fanout);
-      par_->morsels_per_thread = std::max(1, opts.parallel_morsels_per_thread);
       // The per-query pool is created on the first evaluation that
       // actually morselizes — small queries never pay the thread spawn —
       // and at the driver's clamped width, so a fan-out that feeds 3
@@ -478,8 +477,7 @@ class Evaluator {
       XQTP_ASSIGN_OR_RETURN(
           std::vector<BindingRow> rows,
           EvalPattern(op.tp, ctx,
-                      chooser != nullptr ? chooser->Choose(ctx) : opts_.algo,
-                      par_.get()));
+                      chooser != nullptr ? chooser->Choose(ctx) : opts_.algo));
       XQTP_RETURN_NOT_OK(
           mem.Grow(static_cast<int64_t>(rows.size() * sizeof(BindingRow))));
       for (const BindingRow& row : rows) builder.Add(i, row);

@@ -32,17 +32,15 @@ struct EvalOptions {
   PatternAlgo algo = PatternAlgo::kCostBased;
   /// Worker threads for TupleTreePattern evaluation: 1 (default) = the
   /// sequential path, 0 = one per hardware thread, N = a fixed per-query
-  /// pool of N (exec/parallel.h). Parallelism is opt-in: on the e2e
-  /// serving benchmark the sequential path was faster. The pool is
-  /// created lazily on the first pattern evaluation that actually
-  /// morselizes. Results are identical at any thread count; only the
-  /// ExecStats attribution of driver-side index scans can differ.
+  /// pool of N (exec/parallel.h) over which a pattern operator's input
+  /// tuples are partitioned. Parallelism is opt-in: on the e2e serving
+  /// benchmark the sequential path was faster. The pool is created
+  /// lazily on the first pattern evaluation that actually morselizes.
+  /// Results are identical at any thread count.
   int threads = 1;
-  /// Minimum root fan-out (context nodes, root-step candidates, or input
-  /// tuples) before a pattern evaluation is morselized.
+  /// Minimum number of input tuples before a pattern operator's
+  /// evaluation is morselized.
   int parallel_min_fanout = 256;
-  /// Morsel granularity: the driver targets threads * this many morsels.
-  int parallel_morsels_per_thread = 4;
   /// Assert the optimizer's stamped property claims (algebra::Op::props)
   /// on every evaluated sequence: cardinality bounds, document order,
   /// distinctness. A violation surfaces as Status::Internal tagged
@@ -53,7 +51,7 @@ struct EvalOptions {
   /// steady_clock::now() against it and the evaluation returns
   /// kDeadlineExceeded once it expires (cooperatively — the verdict
   /// surfaces at the next operator boundary / inner-loop stride).
-  std::optional<std::chrono::steady_clock::time_point> deadline;
+  std::optional<std::chrono::steady_clock::time_point> deadline = {};
   /// Budget (bytes) for governor-accounted materialized intermediates;
   /// 0 = unlimited. Exceeding it returns kResourceExhausted. Accounting
   /// is approximate (sizeof-based, per materialized sequence/tuple batch;
@@ -62,7 +60,7 @@ struct EvalOptions {
   /// External cancellation token, shared with whoever may cancel. A
   /// Cancel() from any thread makes the evaluation return kCancelled at
   /// the next governor check. Null = not cancellable.
-  std::shared_ptr<CancelToken> cancel_token;
+  std::shared_ptr<CancelToken> cancel_token = {};
   /// Target rows per TupleBatch (minimum 1). Tuple operators stream
   /// batches of about this many rows: Select filters via selection
   /// vectors, MapToItem reads the field column directly, patterns

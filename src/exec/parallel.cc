@@ -1,20 +1,14 @@
 // Morsel-parallel driver for TupleTreePattern evaluation (see parallel.h
-// for the architecture). Correctness rests on two facts:
-//
-//  1. every sequential algorithm returns the operator's Section 4.1
-//     result: DISTINCT binding rows in root-to-leaf lexical order
-//     (RowLexLess). A morsel's result is therefore a sorted run, and an
-//     order-preserving merge + dedup of the runs reproduces the
-//     sequential output bit for bit;
-//  2. the union over context nodes (or over root-step candidates, for
-//     the self-rooted rewrite) of the pattern's matches equals the
-//     matches over the whole context — pattern evaluation is per-context
-//     independent, so any partition of the context is sound.
+// for the architecture). Correctness rests on one fact: a pattern
+// operator evaluates each input tuple independently, and the sequential
+// kernel appends each tuple's binding rows in input-row order. Cutting
+// the input into contiguous row ranges and concatenating the per-range
+// output batches in range order therefore reproduces the sequential
+// output bit for bit.
 #include "exec/parallel.h"
 
 #include <algorithm>
 #include <atomic>
-#include <iterator>
 #include <optional>
 #include <utility>
 
@@ -23,7 +17,6 @@
 #include "common/interner.h"
 #include "exec/cost_model.h"
 #include "storage/node_table.h"
-#include "xdm/sequence_ops.h"
 #include "xml/document.h"
 
 namespace xqtp::exec {
@@ -136,7 +129,6 @@ namespace {
 
 using pattern::PatternNode;
 using pattern::PatternNodePtr;
-using pattern::TreePattern;
 using xml::Document;
 using xml::Node;
 
@@ -157,90 +149,20 @@ const std::vector<const Node*>& StreamFor(const Document& doc,
   return doc.AllNodes();
 }
 
-void SortDedup(std::vector<const Node*>* v) {
-  std::sort(v->begin(), v->end(), xml::DocOrderLess);
-  v->erase(std::unique(v->begin(), v->end()), v->end());
-}
-
-/// Staircase pruning: contexts covered by an earlier context's subtree
-/// contribute no new descendants. Input must be sorted.
-void PruneCovered(std::vector<const Node*>* ctx) {
-  std::vector<const Node*> kept;
-  kept.reserve(ctx->size());
-  for (const Node* n : *ctx) {
-    if (!kept.empty() && (kept.back() == n || kept.back()->IsAncestorOf(*n))) {
-      continue;
-    }
-    kept.push_back(n);
-  }
-  *ctx = std::move(kept);
-}
-
-/// Expands the root step's candidate set directly from the per-tag index
-/// (the staircase region scan), instead of letting every worker rediscover
-/// it navigationally. Returns the document-ordered duplicate-free matches
-/// of `root` over `ctx`; the caller has verified a downward axis, no
-/// positional constraint, and a single document.
-std::vector<const Node*> ExpandRootCandidates(const PatternNode& root,
-                                              std::vector<const Node*> ctx) {
-  std::vector<const Node*> out;
-  if (ctx.empty()) return out;
-  SortDedup(&ctx);
-  const Document& doc = *ctx.front()->doc;
-  const std::vector<const Node*>& stream = StreamFor(doc, root.test);
-  switch (root.axis) {
-    case Axis::kDescendant:
-    case Axis::kDescendantOrSelf: {
-      PruneCovered(&ctx);
-      size_t pos = 0;
-      for (const Node* c : ctx) {
-        if (root.axis == Axis::kDescendantOrSelf &&
-            xdm::MatchesTest(c, root.axis, root.test)) {
-          out.push_back(c);
-        }
-        CountIndexSkip();
-        auto it = std::upper_bound(
-            stream.begin() + static_cast<ptrdiff_t>(pos), stream.end(),
-            c->pre, [](int32_t pre, const Node* n) { return pre < n->pre; });
-        pos = static_cast<size_t>(it - stream.begin());
-        while (pos < stream.size() && stream[pos]->post < c->post) {
-          out.push_back(stream[pos]);
-          ++pos;
-          CountIndexEntries(1);
-        }
-      }
-      break;  // disjoint regions: already sorted and duplicate-free
-    }
-    case Axis::kChild: {
-      for (const Node* c : ctx) {
-        CountIndexSkip();
-        auto it = std::upper_bound(
-            stream.begin(), stream.end(), c->pre,
-            [](int32_t pre, const Node* n) { return pre < n->pre; });
-        for (; it != stream.end() && (*it)->post < c->post; ++it) {
-          CountIndexEntries(1);
-          if ((*it)->parent == c) out.push_back(*it);
-        }
-      }
-      SortDedup(&out);
-      break;
-    }
-    default:
-      break;  // unreachable: gated by the caller
-  }
-  return out;
-}
-
 struct MorselRange {
   size_t begin;
   size_t end;
 };
 
+/// Morsels per worker thread: finer than one per thread, so a slow range
+/// does not leave the other workers idle at the end of the batch.
+constexpr int kMorselsPerThread = 4;
+
 /// Cuts `units` work units into contiguous morsels: about
-/// threads * morsels_per_thread of them, never smaller than
+/// threads * kMorselsPerThread of them, never smaller than
 /// min_fanout / 4 units (finer morsels would be all coordination).
 std::vector<MorselRange> PlanMorsels(size_t units, const ParallelContext& par) {
-  int target = std::max(1, par.threads * par.morsels_per_thread);
+  int target = std::max(1, par.threads * kMorselsPerThread);
   size_t min_units =
       std::max<size_t>(1, static_cast<size_t>(par.min_fanout) / 4);
   size_t size = std::max(min_units,
@@ -254,30 +176,6 @@ std::vector<MorselRange> PlanMorsels(size_t units, const ParallelContext& par) {
   return morsels;
 }
 
-/// Order-preserving merge of per-morsel sorted runs, then one dedup pass.
-/// Uses the same RowLexLess the sequential FinalizeRows sorts by, which is
-/// what makes the merged output bit-identical to the sequential one.
-std::vector<BindingRow> MergeSortedRuns(std::vector<std::vector<BindingRow>> runs) {
-  std::vector<BindingRow> acc;
-  for (std::vector<BindingRow>& run : runs) {
-    if (run.empty()) continue;
-    if (acc.empty()) {
-      acc = std::move(run);
-      continue;
-    }
-    std::vector<BindingRow> merged;
-    merged.reserve(acc.size() + run.size());
-    std::merge(std::make_move_iterator(acc.begin()),
-               std::make_move_iterator(acc.end()),
-               std::make_move_iterator(run.begin()),
-               std::make_move_iterator(run.end()), std::back_inserter(merged),
-               RowLexLess);
-    acc = std::move(merged);
-  }
-  acc.erase(std::unique(acc.begin(), acc.end()), acc.end());
-  return acc;
-}
-
 void PrewarmSteps(const Document& doc, const PatternNode& p) {
   if (p.axis == Axis::kAttribute) {
     if (p.test.kind == NodeTestKind::kName) doc.AttributesByName(p.test.name);
@@ -286,14 +184,6 @@ void PrewarmSteps(const Document& doc, const PatternNode& p) {
   }
   for (const PatternNodePtr& pred : p.predicates) PrewarmSteps(doc, *pred);
   if (p.next != nullptr) PrewarmSteps(doc, *p.next);
-}
-
-/// Merges the per-morsel worker counters into the calling scope (if any):
-/// the driver reports exactly the work its morsels did.
-void MergeWorkerStats(const std::vector<ExecStats>& slots) {
-  if (ExecStats* s = CurrentExecStats()) {
-    for (const ExecStats& w : slots) s->Add(w);
-  }
 }
 
 }  // namespace
@@ -307,131 +197,6 @@ void PrewarmPatternIndexes(const xml::Document& doc,
   // the document's NodeTable.
   doc.Stats();
   if (algo == PatternAlgo::kShredded) storage::NodeTable::For(doc);
-}
-
-bool TryEvalPatternParallel(const pattern::TreePattern& tp,
-                            const xdm::Sequence& context, PatternAlgo algo,
-                            const ParallelContext& par,
-                            Result<std::vector<BindingRow>>* out) {
-  if (par.threads < 2 || !par.pool || tp.root == nullptr) return false;
-  // kCostBased must be resolved by the caller (one algorithm across all
-  // morsels); an unresolved choice is not morselizable.
-  if (algo == PatternAlgo::kCostBased) return false;
-  for (const xdm::Item& it : context) {
-    // Non-node contexts carry TypeError semantics the sequential
-    // algorithms own; keep them on the sequential path.
-    if (!it.IsNode()) return false;
-  }
-
-  std::vector<const Node*> units;
-  TreePattern self_tp;
-  const TreePattern* eval_tp = &tp;
-
-  if (context.size() >= static_cast<size_t>(par.min_fanout)) {
-    // Strategy 1: the context itself is wide — contiguous ranges of it
-    // become morsels and each runs the unmodified pattern.
-    units.reserve(context.size());
-    for (const xdm::Item& it : context) units.push_back(it.node());
-  } else {
-    // Strategy 2: root fan-out. Expand the root step's candidates from
-    // the index, rewrite the pattern self-rooted, morselize candidates.
-    const PatternNode& root = *tp.root;
-    if (root.position != 0) return false;
-    if (root.axis != Axis::kChild && root.axis != Axis::kDescendant &&
-        root.axis != Axis::kDescendantOrSelf) {
-      return false;
-    }
-    if (context.empty()) return false;
-    const Document* doc = context.front().node()->doc;
-    std::vector<const Node*> ctx;
-    ctx.reserve(context.size());
-    for (const xdm::Item& it : context) {
-      if (it.node()->doc != doc) return false;  // index scans are per-doc
-      ctx.push_back(it.node());
-    }
-    std::vector<const Node*> candidates =
-        ExpandRootCandidates(root, std::move(ctx));
-    if (candidates.size() < static_cast<size_t>(par.min_fanout)) return false;
-    self_tp = tp.Clone();
-    self_tp.root->axis = Axis::kSelf;  // candidates already match the test
-    eval_tp = &self_tp;
-    units = std::move(candidates);
-  }
-
-  // Clamp the fan-out to what the units can feed before sizing morsels
-  // or the pool: a lazily-created pool is born at the clamped width, so
-  // small-fan-out queries never pay for workers they cannot keep busy.
-  ParallelContext eff = par;
-  eff.threads = ClampParallelThreads(units.size(), par.threads, par.min_fanout);
-  std::vector<MorselRange> morsels = PlanMorsels(units.size(), eff);
-  if (morsels.size() < 2) return false;
-  ThreadPool* pool = par.pool(eff.threads);
-  if (pool == nullptr) return false;
-
-  // Pre-warm every document the morsels touch, so workers only ever hit
-  // the built (shared-lock) path of the lazy getters.
-  std::vector<const Document*> docs;
-  for (const Node* n : units) {
-    if (std::find(docs.begin(), docs.end(), n->doc) == docs.end()) {
-      docs.push_back(n->doc);
-      PrewarmPatternIndexes(*n->doc, *eval_tp, algo);
-    }
-  }
-
-  struct Part {
-    Result<std::vector<BindingRow>> rows = std::vector<BindingRow>{};
-  };
-  std::vector<Part> parts(morsels.size());
-  std::vector<ExecStats> stats_slots(morsels.size());
-  g_parallel_evals.fetch_add(1, std::memory_order_relaxed);
-  pool->Run(static_cast<int>(morsels.size()), [&](int m) {
-    ScopedExecStats scope;  // per-morsel collection slot
-    // Each worker morsel re-installs the query's governor: cancellation
-    // is observed between morsels (the entry poll) and on the inner-loop
-    // strides of the sequential algorithm it runs.
-    ScopedGovernor governed(par.governor);
-    // The "no interning mid-query" assert is per-thread (so plan-cache
-    // fills may intern concurrently on other serving threads); each
-    // worker re-establishes the freeze for its morsel's duration.
-    std::optional<StringInterner::ExecutionFreeze> freeze;
-    if (!docs.empty()) freeze.emplace(*docs.front()->interner());
-    Part& part = parts[static_cast<size_t>(m)];
-    Status entry = GovernorPoll();
-#if XQTP_FAULT_INJECTION
-    if (entry.ok()) entry = fault::Poll("exec.parallel.morsel");
-#endif
-    if (!entry.ok()) {
-      // A tripped governor's verdict is sticky, so every skipped morsel
-      // reports the same status: the pool drains cleanly without doing
-      // the remaining work and no partial result leaks out.
-      part.rows = std::move(entry);
-      stats_slots[static_cast<size_t>(m)] = scope.stats();
-      return;
-    }
-    const MorselRange& mr = morsels[static_cast<size_t>(m)];
-    xdm::Sequence ctx;
-    ctx.reserve(mr.end - mr.begin);
-    for (size_t i = mr.begin; i < mr.end; ++i) {
-      ctx.push_back(xdm::Item(units[i]));
-    }
-    part.rows = EvalPatternSequential(*eval_tp, ctx, algo);
-    stats_slots[static_cast<size_t>(m)] = scope.stats();
-  });
-  MergeWorkerStats(stats_slots);
-
-  // Error determinism: the lowest morsel's error is the one the
-  // sequential evaluation would have hit first.
-  for (Part& p : parts) {
-    if (!p.rows.ok()) {
-      *out = p.rows.status();
-      return true;
-    }
-  }
-  std::vector<std::vector<BindingRow>> runs;
-  runs.reserve(parts.size());
-  for (Part& p : parts) runs.push_back(std::move(p.rows).value());
-  *out = MergeSortedRuns(std::move(runs));
-  return true;
 }
 
 PatternBatchBuilder::PatternBatchBuilder(const TupleBatch& in)
@@ -542,7 +307,10 @@ Result<TupleBatch> EvalPatternTuplesParallel(const pattern::TreePattern& tp,
   ParallelContext eff = par;
   eff.threads = ClampParallelThreads(in.rows(), par.threads, par.min_fanout);
   std::vector<MorselRange> morsels = PlanMorsels(in.rows(), eff);
-  ThreadPool* pool = par.pool ? par.pool(eff.threads) : nullptr;
+  // A single morsel runs on the calling thread; only a real fan-out
+  // creates (or reuses) the per-query pool.
+  ThreadPool* pool = morsels.size() >= 2 && par.pool ? par.pool(eff.threads)
+                                                     : nullptr;
   struct Part {
     Result<TupleBatch> batch = TupleBatch{};
   };
@@ -569,14 +337,12 @@ Result<TupleBatch> EvalPatternTuplesParallel(const pattern::TreePattern& tp,
           "TupleTreePattern input tuple lacks the context field");
     }
     for (size_t i = mr.begin; i < mr.end && err.ok(); ++i) {
-      // par == nullptr: tuple-level workers must not nest into the pool
-      // (ThreadPool::Run is non-reentrant). EvalPattern still counts one
-      // pattern evaluation per row, exactly like the sequential loop.
+      // EvalPattern counts one pattern evaluation per row, exactly like
+      // the sequential loop.
       const xdm::Sequence& ctx = in.Value(*ctx_col, i);
       Result<std::vector<BindingRow>> rows = EvalPattern(
           tp, ctx,
-          algo == PatternAlgo::kCostBased ? chooser.Choose(ctx) : algo,
-          nullptr);
+          algo == PatternAlgo::kCostBased ? chooser.Choose(ctx) : algo);
       if (!rows.ok()) {
         err = rows.status();
         break;
@@ -588,7 +354,7 @@ Result<TupleBatch> EvalPatternTuplesParallel(const pattern::TreePattern& tp,
                  : Result<TupleBatch>(std::move(err));
     stats_slots[static_cast<size_t>(m)] = scope.stats();
   };
-  if (pool != nullptr && morsels.size() >= 2) {
+  if (pool != nullptr) {
     g_parallel_evals.fetch_add(1, std::memory_order_relaxed);
     pool->Run(static_cast<int>(morsels.size()), run_morsel);
   } else {
@@ -596,7 +362,11 @@ Result<TupleBatch> EvalPatternTuplesParallel(const pattern::TreePattern& tp,
       run_morsel(static_cast<int>(m));
     }
   }
-  MergeWorkerStats(stats_slots);
+  // Merge the per-morsel worker counters into the calling scope (if
+  // any): the driver reports exactly the work its morsels did.
+  if (ExecStats* s = CurrentExecStats()) {
+    for (const ExecStats& w : stats_slots) s->Add(w);
+  }
 
   for (Part& p : parts) {
     if (!p.batch.ok()) return p.batch.status();

@@ -1,25 +1,15 @@
 // Morsel-parallel execution of TupleTreePattern operators.
 //
-// The paper's payoff — a detected tree pattern is ONE coarse-grained
-// operator — makes that operator the natural unit of intra-query
-// parallelism: its root-input stream partitions into independent morsels,
-// each evaluated by any of the sequential algorithms, with an
-// order-preserving merge re-establishing the operator's Section 4.1
-// semantics (distinct bindings, root-to-leaf lexical order). The nested
-// Map/TreeJoin "old engine" plan has no such unit to cut.
-//
-// Two morselization strategies, chosen per evaluation:
-//
-//  1. context partitioning — when the pattern's context sequence is
-//     already wide (>= EvalOptions::parallel_min_fanout nodes), contiguous
-//     document-order ranges of the sorted context become morsels and each
-//     runs the unmodified pattern.
-//  2. root fan-out — the common optimized plan feeds ONE context node (the
-//     document root) per pattern. The driver expands the root step's
-//     candidate set directly from the per-tag index (the staircase-join
-//     region scan), rewrites the pattern to be self-rooted (the remainder:
-//     predicates + continuation, annotations preserved), and partitions
-//     the candidates into morsels.
+// The paper makes a detected tree pattern ONE coarse-grained operator
+// whose physical algorithm is a sequential choice (EvalOptions::algo, by
+// default the cost model's). Parallelism does not make a second choice:
+// the driver only partitions the operator's INPUT TUPLES. When a pattern
+// operator receives at least EvalOptions::parallel_min_fanout tuples
+// (a per-row plan such as `for $b in ... return $b/bidder[1]/increase`),
+// contiguous input-row ranges become morsels, each row runs the
+// unmodified pattern with the sequential algorithm, and the per-morsel
+// output batches are concatenated in input-row order. A pattern fed a
+// single tuple (the document root) always runs sequentially.
 //
 // The pool is per query: a fixed set of threads with a shared atomic
 // morsel cursor — no work stealing, just finer-than-thread morsels for
@@ -109,12 +99,10 @@ struct ParallelContext {
   QueryGovernor* governor = nullptr;
   /// Resolved pool size (>= 2; a context is only built for parallel runs).
   int threads = 2;
-  /// Minimum root fan-out (context nodes or root-step candidates) before
-  /// the driver morselizes; below it the sequential path runs.
+  /// Minimum number of input tuples before the driver morselizes; below
+  /// it the sequential path runs. Morsels are never smaller than
+  /// min_fanout / 4 tuples.
   int min_fanout = 256;
-  /// Morsel granularity: the driver targets threads * morsels_per_thread
-  /// morsels, never smaller than min_fanout / 4 units each.
-  int morsels_per_thread = 4;
 };
 
 /// Effective worker count for `units` parallel work units: one thread
@@ -125,18 +113,6 @@ struct ParallelContext {
 /// spawn + morsel-cursor contention made 8 threads *slower* than 2 on
 /// the XMark //item//location bench before this clamp).
 int ClampParallelThreads(size_t units, int threads, int min_fanout);
-
-/// Attempts morsel-parallel evaluation of `tp` over `context` with the
-/// (already cost-resolved) algorithm. Returns true and fills `*out` when
-/// the driver handled the evaluation; false when the input is not
-/// morselizable (small fan-out, non-node contexts, positional or
-/// non-downward root, multi-document context) and the sequential path
-/// should run instead. Results are bit-identical to the sequential
-/// algorithm: same rows, same order, same output fields.
-bool TryEvalPatternParallel(const pattern::TreePattern& tp,
-                            const xdm::Sequence& context, PatternAlgo algo,
-                            const ParallelContext& par,
-                            Result<std::vector<BindingRow>>* out);
 
 /// Builds a TupleTreePattern's output batch from binding rows, with
 /// overwrite semantics per row: the schema is the input batch's columns
@@ -149,7 +125,8 @@ bool TryEvalPatternParallel(const pattern::TreePattern& tp,
 /// optimized plan: one tuple carrying the document root), input columns
 /// that no binding overwrites are NOT replicated per output row — Finish
 /// attaches them as broadcast columns sharing the input's storage, so a
-/// root fan-out producing 10^5 binding rows copies zero input sequences.
+/// pattern over the document root producing 10^5 binding rows copies
+/// zero input sequences.
 class PatternBatchBuilder {
  public:
   explicit PatternBatchBuilder(const TupleBatch& in);
@@ -199,11 +176,10 @@ Result<TupleBatch> EvalPatternTuplesParallel(const pattern::TreePattern& tp,
                                              PatternAlgo algo,
                                              const ParallelContext& par);
 
-/// Number of pattern evaluations that actually fanned out to a worker
-/// pool since process start (either morselization strategy, context- or
-/// tuple-level). Process-wide, monotonic, thread-safe. Exposed so tests
-/// can assert that a given execution path did — or, for the sequential
-/// legacy Engine::Execute contract, did not — parallelize.
+/// Number of pattern operator evaluations that actually fanned out to a
+/// worker pool since process start. Process-wide, monotonic,
+/// thread-safe. Exposed so tests can assert that a given execution path
+/// did — or did not — parallelize.
 int64_t ParallelEvaluationCountForTesting();
 
 /// Pre-builds the lazily-constructed per-tag streams (and, for the

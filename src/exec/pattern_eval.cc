@@ -1,7 +1,7 @@
 // Shared tree-pattern machinery: the algorithm dispatch behind
-// TupleTreePattern (EvalPattern / EvalPatternSequential), the lexical row
-// order every algorithm finalizes into, and the governance boundary — a
-// cooperative governor check guards every pattern evaluation, and the
+// TupleTreePattern (EvalPattern), the lexical row order every algorithm
+// finalizes into, and the governance boundary — a cooperative governor
+// check guards every pattern evaluation, and the
 // individual algorithms poll on a stride inside their inner loops
 // (GovernorTicker), so a deadline or external cancel interrupts even one
 // huge pattern operator mid-scan instead of waiting for it to finish.
@@ -13,7 +13,6 @@
 #include "common/fault_injection.h"
 #include "exec/cost_model.h"
 #include "exec/governor.h"
-#include "exec/parallel.h"
 #include "storage/node_table.h"
 #include "xml/document.h"
 
@@ -41,6 +40,9 @@ const char* PatternAlgoName(PatternAlgo algo) {
   return "?";
 }
 
+namespace {
+
+/// The lexical row order of Section 4.1 (see FinalizeRows).
 bool RowLexLess(const BindingRow& a, const BindingRow& b) {
   size_t n = std::min(a.fields.size(), b.fields.size());
   for (size_t i = 0; i < n; ++i) {
@@ -51,15 +53,20 @@ bool RowLexLess(const BindingRow& a, const BindingRow& b) {
   return a.fields.size() < b.fields.size();
 }
 
+}  // namespace
+
 void FinalizeRows(std::vector<BindingRow>* rows) {
   std::sort(rows->begin(), rows->end(), RowLexLess);
   rows->erase(std::unique(rows->begin(), rows->end()), rows->end());
 }
 
-Result<std::vector<BindingRow>> EvalPatternSequential(
-    const TreePattern& tp, const xdm::Sequence& context, PatternAlgo algo) {
-  // Every pattern evaluation — morsel or whole — crosses a governance
-  // boundary here; the algorithms' inner loops add strided polls on top.
+Result<std::vector<BindingRow>> EvalPattern(const TreePattern& tp,
+                                            const xdm::Sequence& context,
+                                            PatternAlgo algo) {
+  CountPatternEval();
+  if (algo == PatternAlgo::kCostBased) algo = ChooseAlgorithm(tp, context);
+  // Every pattern evaluation crosses a governance boundary here; the
+  // algorithms' inner loops add strided polls on top.
   XQTP_RETURN_NOT_OK(GovernorPoll());
   XQTP_FAULT_POINT("exec.pattern.dispatch");
   switch (algo) {
@@ -76,24 +83,9 @@ Result<std::vector<BindingRow>> EvalPatternSequential(
     case PatternAlgo::kShredded:
       return storage::EvalPatternShredded(tp, context);
     case PatternAlgo::kCostBased:
-      return EvalPatternSequential(tp, context, ChooseAlgorithm(tp, context));
+      break;  // resolved above; the cost model never returns itself
   }
   return Status::Internal("unknown pattern algorithm");
-}
-
-Result<std::vector<BindingRow>> EvalPattern(const TreePattern& tp,
-                                            const xdm::Sequence& context,
-                                            PatternAlgo algo,
-                                            const ParallelContext* par) {
-  CountPatternEval();
-  // Resolve the cost-based choice once, against the full context, so a
-  // morselized evaluation runs ONE algorithm across all its morsels.
-  if (algo == PatternAlgo::kCostBased) algo = ChooseAlgorithm(tp, context);
-  if (par != nullptr) {
-    Result<std::vector<BindingRow>> rows = std::vector<BindingRow>{};
-    if (TryEvalPatternParallel(tp, context, algo, *par, &rows)) return rows;
-  }
-  return EvalPatternSequential(tp, context, algo);
 }
 
 }  // namespace xqtp::exec

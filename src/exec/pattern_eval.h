@@ -44,10 +44,6 @@ enum class PatternAlgo : uint8_t {
 
 const char* PatternAlgoName(PatternAlgo algo);
 
-/// Parallel-evaluation parameters (exec/parallel.h); EvalPattern takes an
-/// optional pointer so pattern evaluation stays usable without the driver.
-struct ParallelContext;
-
 /// One projected binding: (output field, bound node) pairs in root-to-leaf
 /// lexical order of the pattern's annotated steps.
 struct BindingRow {
@@ -58,36 +54,21 @@ struct BindingRow {
   }
 };
 
-/// Evaluates `tp` over the given context nodes with the chosen algorithm.
-/// `context` items must all be nodes. Returns distinct rows in lexical
-/// order. With a non-null `par`, evaluations whose root fan-out crosses
-/// the morsel threshold run on the parallel driver (exec/parallel.h) with
-/// bit-identical results; everything else takes the sequential path.
+/// Evaluates `tp` over the given context nodes with the chosen algorithm
+/// (kCostBased resolves through the cost model first). `context` items
+/// must all be nodes. Returns distinct rows in lexical order. Counts one
+/// pattern evaluation and crosses one governance boundary per call;
+/// parallelism lives a level up, in the tuple-level morsel driver
+/// (exec/parallel.h), which calls this once per input tuple.
 [[nodiscard]]
 Result<std::vector<BindingRow>> EvalPattern(const pattern::TreePattern& tp,
                                             const xdm::Sequence& context,
-                                            PatternAlgo algo,
-                                            const ParallelContext* par = nullptr);
+                                            PatternAlgo algo);
 
-/// The sequential dispatch behind EvalPattern: runs exactly one algorithm
-/// (kCostBased resolves through the cost model first) without counting a
-/// pattern evaluation. The morsel driver calls this per morsel so
-/// ExecStats::pattern_evals stays exact — one count per operator
-/// evaluation, however many morsels it fans out into.
-[[nodiscard]]
-Result<std::vector<BindingRow>> EvalPatternSequential(
-    const pattern::TreePattern& tp, const xdm::Sequence& context,
-    PatternAlgo algo);
-
-/// The lexical row order of Section 4.1: document order of the bound
-/// nodes, field by field in root-to-leaf order, shorter rows first on a
-/// tie. FinalizeRows and the driver's morsel merge share this comparator,
-/// which is what makes parallel results bit-identical.
-bool RowLexLess(const BindingRow& a, const BindingRow& b);
-
-/// Shared finalization: sorts rows lexically by document order of their
-/// bound nodes and removes duplicates. Exposed for the algorithm
-/// implementations and tests.
+/// Shared finalization: sorts rows in the lexical order of Section 4.1
+/// (document order of the bound nodes, field by field in root-to-leaf
+/// order, shorter rows first on a tie) and removes duplicates. Exposed
+/// for the algorithm implementations and tests.
 void FinalizeRows(std::vector<BindingRow>* rows);
 
 // Individual algorithm entry points (used directly by unit tests).

@@ -89,9 +89,8 @@ class StreamEval {
     // The context node opens as a virtual event around the whole region
     // scan: it can match a self / descendant-or-self root step, and —
     // under a self-like root instance — any later self-like step too
-    // (e.g. the re-rooted self::t/descendant-or-self::node() patterns
-    // the morsel driver builds). Its attributes are events of the
-    // region as well, handled inside the start event.
+    // (e.g. self::t/descendant-or-self::node()). Its attributes are
+    // events of the region as well, handled inside the start event.
     size_t n_self = StartNode(context);
     struct Frame {
       const Node* node;

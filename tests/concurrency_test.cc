@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "exec/parallel.h"
 #include "workload/member_gen.h"
 
 namespace xqtp {
@@ -43,7 +44,7 @@ TEST(ConcurrencyTest, ParallelExecutionOverColdIndexes) {
   engine::Engine::GlobalMap globals{{"input", {xdm::Item(d->root())}}};
   std::vector<size_t> expected;
   for (const engine::CompiledQuery& cq : compiled) {
-    auto res = e.Execute(cq, globals, exec::PatternAlgo::kNLJoin);
+    auto res = e.Execute(cq, globals, {.algo = exec::PatternAlgo::kNLJoin});
     ASSERT_TRUE(res.ok());
     expected.push_back(res->size());
   }
@@ -62,7 +63,7 @@ TEST(ConcurrencyTest, ParallelExecutionOverColdIndexes) {
       exec::PatternAlgo algo =
           (tid + round) % 2 == 0 ? exec::PatternAlgo::kStaircase
                                  : exec::PatternAlgo::kTwig;
-      auto res = e.Execute(compiled[qi], cold_globals, algo);
+      auto res = e.Execute(compiled[qi], cold_globals, {.algo = algo});
       if (!res.ok() || res->size() != expected[qi]) {
         // Same generator parameters and seed -> same document shape, so
         // the cold document must give the same cardinalities.
@@ -78,7 +79,9 @@ TEST(ConcurrencyTest, ParallelExecutionOverColdIndexes) {
 
 // Two morsel-parallel queries executing concurrently: each Execute spins
 // up its own per-query pool (threads = 2), so four workers total hammer
-// the same document's indexes while both drivers merge morsel runs.
+// the same document's indexes while both drivers concatenate morsel
+// batches. Both queries are per-row (a pattern under a `for`), the shape
+// the tuple-level driver partitions; every round must fan out.
 TEST(ConcurrencyTest, TwoMorselParallelQueriesConcurrently) {
   engine::Engine e;
   workload::MemberParams p;
@@ -89,8 +92,8 @@ TEST(ConcurrencyTest, TwoMorselParallelQueriesConcurrently) {
   const xml::Document* d =
       e.AddDocument("m", workload::GenerateMember(p, e.interner()));
 
-  auto q1 = e.Compile("$input//t01[t02]/t03");
-  auto q2 = e.Compile("$input/desc::t04[desc::t03]");
+  auto q1 = e.Compile("for $x in $input//t01 return $x/t02[1]/t03");
+  auto q2 = e.Compile("for $x in $input/desc::t04 where $x/t03 return $x/*");
   ASSERT_TRUE(q1.ok());
   ASSERT_TRUE(q2.ok());
   engine::Engine::GlobalMap globals{{"input", {xdm::Item(d->root())}}};
@@ -106,19 +109,25 @@ TEST(ConcurrencyTest, TwoMorselParallelQueriesConcurrently) {
   auto r2 = e.Execute(*q2, globals, seq);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
+  ASSERT_FALSE(r1->empty());
+  ASSERT_FALSE(r2->empty());
 
+  constexpr int kRounds = 8;
   std::atomic<int> failures{0};
   auto worker = [&](const engine::CompiledQuery& cq, size_t expected) {
-    for (int round = 0; round < 8; ++round) {
+    for (int round = 0; round < kRounds; ++round) {
       auto res = e.Execute(cq, globals, opts);
       if (!res.ok() || res->size() != expected) ++failures;
     }
   };
+  int64_t before = exec::ParallelEvaluationCountForTesting();
   std::thread t1(worker, std::cref(*q1), r1->size());
   std::thread t2(worker, std::cref(*q2), r2->size());
   t1.join();
   t2.join();
   EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(exec::ParallelEvaluationCountForTesting() - before, 2 * kRounds)
+      << "a round ran without reaching the parallel driver";
 }
 
 TEST(ConcurrencyTest, ParallelStatsAndIndexAccess) {

@@ -116,8 +116,8 @@ TEST_F(CostModelTest, CostBasedEvaluationIsCorrect) {
     const xml::Document* d =
         std::string(q).find("t1[1]") != std::string::npos ? deep_ : wide_;
     engine::Engine::GlobalMap globals{{"input", {xdm::Item(d->root())}}};
-    auto ref = engine_.Execute(*cq, globals, PatternAlgo::kNLJoin);
-    auto cb = engine_.Execute(*cq, globals, PatternAlgo::kCostBased);
+    auto ref = engine_.Execute(*cq, globals, {.algo = PatternAlgo::kNLJoin});
+    auto cb = engine_.Execute(*cq, globals, {.algo = PatternAlgo::kCostBased});
     ASSERT_TRUE(ref.ok() && cb.ok()) << q;
     ASSERT_EQ(ref->size(), cb->size()) << q;
     for (size_t i = 0; i < ref->size(); ++i) {

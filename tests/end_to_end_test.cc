@@ -20,7 +20,7 @@ void ExpectAllRoutesAgree(engine::Engine* e, const xml::Document& doc,
   for (const std::string& g : cq->GlobalNames()) {
     globals[g] = {xdm::Item(doc.root())};
   }
-  auto ref = e->Execute(*cq, globals, exec::PatternAlgo::kNLJoin,
+  auto ref = e->Execute(*cq, globals, {},
                         engine::PlanChoice::kCoreInterp);
   ASSERT_TRUE(ref.ok()) << q << ": " << ref.status().ToString();
   for (auto pc :
@@ -29,7 +29,7 @@ void ExpectAllRoutesAgree(engine::Engine* e, const xml::Document& doc,
                       exec::PatternAlgo::kTwig, exec::PatternAlgo::kStream,
                       exec::PatternAlgo::kTwigStack,
                       exec::PatternAlgo::kShredded}) {
-      auto res = e->Execute(*cq, globals, algo, pc);
+      auto res = e->Execute(*cq, globals, {.algo = algo}, pc);
       ASSERT_TRUE(res.ok()) << q << ": " << res.status().ToString();
       ASSERT_EQ(res->size(), ref->size())
           << q << " [" << exec::PatternAlgoName(algo) << "]";

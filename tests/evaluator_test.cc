@@ -43,7 +43,7 @@ class EvaluatorTest : public ::testing::Test {
       for (auto algo : {PatternAlgo::kNLJoin, PatternAlgo::kStaircase,
                         PatternAlgo::kTwig, PatternAlgo::kStream,
                         PatternAlgo::kTwigStack}) {
-        auto res = engine_.Execute(*cq, globals, algo, pc);
+        auto res = engine_.Execute(*cq, globals, {.algo = algo}, pc);
         EXPECT_TRUE(res.ok())
             << q << " [" << PatternAlgoName(algo) << "]: "
             << res.status().ToString();
@@ -158,7 +158,7 @@ TEST_F(EvaluatorTest, SequencesAndLiterals) {
 TEST_F(EvaluatorTest, UnboundGlobalFails) {
   auto cq = engine_.Compile("$missing/a");
   ASSERT_TRUE(cq.ok());
-  auto res = engine_.Execute(*cq, {}, PatternAlgo::kNLJoin);
+  auto res = engine_.Execute(*cq, {}, {.algo = PatternAlgo::kNLJoin});
   EXPECT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
 }

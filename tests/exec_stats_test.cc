@@ -6,6 +6,7 @@
 
 #include "common/exec_stats.h"
 #include "engine/engine.h"
+#include "exec/parallel.h"
 #include "workload/member_gen.h"
 #include "workload/xmark_gen.h"
 #include "workload/xmark_queries.h"
@@ -29,7 +30,7 @@ class ExecStatsTest : public ::testing::Test {
     EXPECT_TRUE(cq.ok()) << q;
     engine::Engine::GlobalMap globals{{"input", {xdm::Item(deep_->root())}}};
     ScopedExecStats scope;
-    auto res = engine_.Execute(*cq, globals, algo);
+    auto res = engine_.Execute(*cq, globals, {.algo = algo});
     EXPECT_TRUE(res.ok()) << q;
     return scope.stats();
   }
@@ -230,7 +231,10 @@ std::string GoldenRow(const std::string& query, PatternAlgo algo,
          std::to_string(s.cow_column_copies) + "},";
 }
 
-TEST(ExecStatsGateTest, XmarkCorpusCountersArePinned) {
+/// Runs the 14 corpus queries x kGateAlgos on a factor-0.02 document at
+/// `threads` (with `min_fanout` as EvalOptions::parallel_min_fanout) and
+/// checks every gated counter against the t1 golden row.
+void ExpectCorpusMatchesGolden(int threads, int min_fanout) {
   engine::Engine engine;
   workload::XmarkParams p;
   p.factor = 0.02;
@@ -244,7 +248,8 @@ TEST(ExecStatsGateTest, XmarkCorpusCountersArePinned) {
     for (PatternAlgo algo : kGateAlgos) {
       EvalOptions opts;
       opts.algo = algo;
-      opts.threads = 1;
+      opts.threads = threads;
+      opts.parallel_min_fanout = min_fanout;
       ExecStats s;
       {
         ScopedExecStats scope;
@@ -256,7 +261,8 @@ TEST(ExecStatsGateTest, XmarkCorpusCountersArePinned) {
       for (const GoldenCounters& row : kGolden) {
         if (q.id == row.query && row.algo == algo) g = &row;
       }
-      const std::string measured = GoldenRow(q.id, algo, s);
+      const std::string measured =
+          "t" + std::to_string(threads) + ": " + GoldenRow(q.id, algo, s);
       if (g == nullptr) {
         ADD_FAILURE() << "no golden row; measured:\n  " << measured;
         continue;
@@ -273,6 +279,25 @@ TEST(ExecStatsGateTest, XmarkCorpusCountersArePinned) {
   }
   // Every golden row was exercised: the table and the corpus agree.
   EXPECT_EQ(checked, sizeof(kGolden) / sizeof(kGolden[0]));
+}
+
+TEST(ExecStatsGateTest, XmarkCorpusCountersArePinned) {
+  ExpectCorpusMatchesGolden(1, EvalOptions{}.parallel_min_fanout);
+}
+
+// Parallelism only partitions a pattern operator's input tuples, and
+// every worker morsel's counters merge into the caller's scope, so the
+// work counters at any thread count equal the t1 golden values. The
+// cost-based chooser's cost_estimates are not gated: each morsel owns a
+// chooser. The driver-count check keeps the comparison from passing
+// because nothing fanned out.
+TEST(ExecStatsGateTest, CountersAreThreadInvariant) {
+  for (int threads : {2, 8}) {
+    int64_t before = ParallelEvaluationCountForTesting();
+    ExpectCorpusMatchesGolden(threads, 2);
+    EXPECT_GT(ParallelEvaluationCountForTesting(), before)
+        << "t" << threads << ": no corpus query reached the parallel driver";
+  }
 }
 
 }  // namespace

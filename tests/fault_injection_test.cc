@@ -14,6 +14,7 @@
 
 #include "common/fault_injection.h"
 #include "engine/engine.h"
+#include "exec/parallel.h"
 #include "exec/pattern_eval.h"
 
 namespace xqtp {
@@ -51,13 +52,14 @@ constexpr SiteConfig kRegistry[] = {
     {"exec.pattern.stream", exec::PatternAlgo::kStream, 1},
     {"exec.pattern.twigstack", exec::PatternAlgo::kTwigStack, 1},
     {"storage.pattern.shredded", exec::PatternAlgo::kShredded, 1},
-    // Morsel-parallel driver: a worker hits the fault mid-query and the
-    // pool must still drain.
+    // Morsel-parallel driver (tuple level): a worker hits the fault
+    // mid-query and the pool must still drain.
     {"exec.parallel.morsel", exec::PatternAlgo::kNLJoin, 4},
 };
 
-/// A document whose root-step fan-out (40 person elements) morselizes
-/// under parallel_min_fanout = 4, so the parallel site is reachable.
+/// A document with 40 person elements: the per-person pattern of kQuery
+/// receives 40 input tuples, which morselize under
+/// parallel_min_fanout = 4, so the parallel site is reachable.
 std::string BuildDocumentXml() {
   std::string xml = "<site><people>";
   for (int i = 0; i < 40; ++i) {
@@ -69,9 +71,12 @@ std::string BuildDocumentXml() {
   return xml;
 }
 
-/// The query reaches the function-call, pattern, and parallel sites.
+/// The query reaches the function-call, pattern, and parallel sites:
+/// `$p/name` is evaluated once per person tuple, so its pattern operator
+/// is the one the tuple-level driver partitions.
 constexpr const char* kQuery =
-    "fn:count($input//person[emailaddress]/name)";
+    "fn:count(for $p in $input//person where $p/emailaddress "
+    "return $p/name)";
 
 /// One complete pipeline run from a fresh engine, so an injection in any
 /// phase — including document parsing — is exercised every sweep step.
@@ -107,10 +112,16 @@ TEST(FaultInjectionSweep, EverySiteFailsCleanlyAndRecovers) {
   for (const SiteConfig& cfg : kRegistry) {
     SCOPED_TRACE(cfg.site);
 
-    // Baseline with nothing armed.
+    // Baseline with nothing armed. A parallel configuration must
+    // actually fan out, or its site's poll would prove nothing.
+    const int64_t fanouts = exec::ParallelEvaluationCountForTesting();
     auto baseline = RunPipeline(cfg);
     ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
     ASSERT_EQ(baseline->size(), 1u);  // fn:count returns one integer
+    if (cfg.threads > 1) {
+      EXPECT_GT(exec::ParallelEvaluationCountForTesting(), fanouts)
+          << "the parallel configuration never reached the morsel driver";
+    }
 
     {
       fault::ScopedFault armed(cfg.site);

@@ -38,7 +38,7 @@ class FragmentTest : public ::testing::Test {
                         exec::PatternAlgo::kTwig,
                         exec::PatternAlgo::kStream,
                         exec::PatternAlgo::kTwigStack}) {
-        auto res = engine_.Execute(*cq, globals, algo, pc);
+        auto res = engine_.Execute(*cq, globals, {.algo = algo}, pc);
         EXPECT_TRUE(res.ok()) << q << ": " << res.status().ToString();
         if (!res.ok()) continue;
         std::vector<std::string> values;
@@ -85,7 +85,7 @@ TEST_F(FragmentTest, ArithmeticEmptyAndErrors) {
   EXPECT_TRUE(Eval("$d//nope + 1").empty());
   auto cq = engine_.Compile("1 div 0");
   ASSERT_TRUE(cq.ok());
-  auto res = engine_.Execute(*cq, {}, exec::PatternAlgo::kNLJoin);
+  auto res = engine_.Execute(*cq, {}, {.algo = exec::PatternAlgo::kNLJoin});
   EXPECT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kTypeError);
 }

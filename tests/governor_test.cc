@@ -18,6 +18,7 @@
 #include "core/rewrite.h"
 #include "engine/engine.h"
 #include "exec/governor.h"
+#include "exec/parallel.h"
 #include "exec/pattern_eval.h"
 #include "workload/xmark_gen.h"
 #include "xml/parser.h"
@@ -33,14 +34,25 @@ constexpr PatternAlgo kAllAlgos[] = {
     PatternAlgo::kStream,    PatternAlgo::kTwigStack, PatternAlgo::kShredded,
 };
 
-/// A quadratic self-join over the XMark people: each of the ~N^2 loop
-/// iterations evaluates tree patterns, so at factor 0.2 (~500 persons,
-/// ~250k iterations) it runs for hundreds of milliseconds even in a
-/// Release build — long enough that a 10ms deadline or a mid-query
-/// cancel always lands while it is working, at any thread count.
+/// A quadratic self-product over the XMark people: the `$b` pattern runs
+/// once per `$a` person and `$b/name` once per (a, b) pair, so at factor
+/// 0.2 (~500 persons, ~250k pairs) it runs for over a hundred
+/// milliseconds under every algorithm even in a Release build — long
+/// enough that a 10ms deadline or a mid-query cancel always lands while
+/// it is working, at any thread count. Both per-row patterns receive one
+/// input tuple per binding, so at threads > 1 nearly all of that work
+/// runs on the tuple-level morsel driver, which the query reaches right
+/// after its single `$a` pattern evaluation (a short child chain under
+/// NLJoin).
 constexpr const char* kHeavyQuery =
-    "for $a in $input//person, $b in $input//person "
-    "where $a/name = $b/name return $a/emailaddress";
+    "for $a in $input/site/people/person, $b in $input//person "
+    "return $b/name";
+
+/// A per-row query (XMark XQ2): one pattern evaluation per open_auction
+/// tuple, which the tuple-level driver morselizes at threads > 1.
+constexpr const char* kPerRowQuery =
+    "for $b in $input/site/open_auctions/open_auction "
+    "return $b/bidder[1]/increase";
 
 /// A cross product whose output grows quadratically: ~N^2 materialized
 /// items blow through a 1 MiB accounted-byte budget early in the loop.
@@ -76,10 +88,15 @@ TEST_F(GovernorTest, DeadlineExceededAtOneAndEightThreads) {
   for (int threads : {1, 8}) {
     EvalOptions opts = Opts(PatternAlgo::kNLJoin, threads);
     opts.deadline = steady_clock::now() + milliseconds(10);
+    int64_t before = ParallelEvaluationCountForTesting();
     auto res = engine_.Execute(*cq, globals_, opts);
     ASSERT_FALSE(res.ok()) << "threads=" << threads;
     EXPECT_EQ(res.status().code(), StatusCode::kDeadlineExceeded)
         << "threads=" << threads << ": " << res.status().ToString();
+    if (threads > 1) {
+      EXPECT_GT(ParallelEvaluationCountForTesting(), before)
+          << "threads=" << threads << " never reached the parallel driver";
+    }
   }
 }
 
@@ -115,7 +132,11 @@ TEST_F(GovernorTest, PreCancelledTokenTripsWithinBoundedChecks) {
 // The cancellation race: a separate thread cancels mid-query, for every
 // pattern algorithm at 1, 2, and 8 threads. The query must return
 // kCancelled (the heavy query cannot finish first), the worker pool must
-// drain cleanly, and the engine must run a normal query afterward.
+// drain cleanly, and the engine must run a normal query afterward. At
+// threads > 1 the canceller first waits (up to 5s) for the query to
+// reach the morsel driver, so the cancel lands among running morsels
+// even where the first, sequential pattern is slow (Stream scans the
+// whole document; sanitizer builds stretch it past 10ms).
 TEST_F(GovernorTest, CrossThreadCancelMidQuery) {
   auto cq = engine_.Compile(kHeavyQuery);
   ASSERT_TRUE(cq.ok());
@@ -126,12 +147,24 @@ TEST_F(GovernorTest, CrossThreadCancelMidQuery) {
       auto token = std::make_shared<CancelToken>();
       EvalOptions opts = Opts(algo, threads);
       opts.cancel_token = token;
-      std::thread canceller([token] {
+      const int64_t before = ParallelEvaluationCountForTesting();
+      std::thread canceller([token, threads, before] {
+        const steady_clock::time_point give_up =
+            steady_clock::now() + std::chrono::seconds(5);
+        while (threads > 1 && ParallelEvaluationCountForTesting() == before &&
+               steady_clock::now() < give_up) {
+          std::this_thread::sleep_for(milliseconds(1));
+        }
         std::this_thread::sleep_for(milliseconds(10));
         token->Cancel();
       });
       auto res = engine_.Execute(*cq, globals_, opts);
       canceller.join();
+      if (threads > 1) {
+        EXPECT_GT(ParallelEvaluationCountForTesting(), before)
+            << PatternAlgoName(algo) << " t" << threads
+            << " never reached the parallel driver";
+      }
       ASSERT_FALSE(res.ok())
           << PatternAlgoName(algo) << " t" << threads
           << ": heavy query finished before the cancel landed";
@@ -193,10 +226,13 @@ TEST_F(GovernorTest, CancelledParallelRunLeavesPoolReusable) {
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kCancelled);
   // A parallel query right after must morselize and succeed.
-  auto cq2 = engine_.Compile("$input//person[emailaddress]//interest");
+  auto cq2 = engine_.Compile(kPerRowQuery);
   ASSERT_TRUE(cq2.ok());
+  int64_t before = ParallelEvaluationCountForTesting();
   auto after = engine_.Execute(*cq2, globals_, Opts(PatternAlgo::kStaircase, 4));
   ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_GT(ParallelEvaluationCountForTesting(), before)
+      << "the follow-up query never reached the parallel driver";
 }
 
 TEST_F(GovernorTest, CompileTimeDeadline) {

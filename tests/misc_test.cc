@@ -88,13 +88,13 @@ TEST(RecursiveDocumentStress, DeeplyNestedSameTag) {
     ASSERT_TRUE(cq.ok()) << q;
     engine::Engine::GlobalMap globals{
         {"d", {xdm::Item(doc.value()->root())}}};
-    auto ref = e.Execute(*cq, globals, exec::PatternAlgo::kNLJoin);
+    auto ref = e.Execute(*cq, globals, {.algo = exec::PatternAlgo::kNLJoin});
     ASSERT_TRUE(ref.ok()) << q;
     for (auto algo :
          {exec::PatternAlgo::kStaircase, exec::PatternAlgo::kTwig,
           exec::PatternAlgo::kTwigStack, exec::PatternAlgo::kStream,
           exec::PatternAlgo::kShredded}) {
-      auto res = e.Execute(*cq, globals, algo);
+      auto res = e.Execute(*cq, globals, {.algo = algo});
       ASSERT_TRUE(res.ok()) << q << " " << exec::PatternAlgoName(algo);
       EXPECT_EQ((*res)[0].integer(), (*ref)[0].integer())
           << q << " " << exec::PatternAlgoName(algo);

@@ -31,7 +31,8 @@ class MultiOutputTest : public ::testing::Test {
     auto cq = engine_.Compile(q, o);
     EXPECT_TRUE(cq.ok()) << q << ": " << cq.status().ToString();
     engine::Engine::GlobalMap globals{{"d", {xdm::Item(doc_->root())}}};
-    auto res = engine_.Execute(*cq, globals, exec::PatternAlgo::kNLJoin);
+    auto res = engine_.Execute(*cq, globals,
+        {.algo = exec::PatternAlgo::kNLJoin});
     EXPECT_TRUE(res.ok()) << q << ": " << res.status().ToString();
     std::vector<std::string> out;
     if (res.ok()) {
@@ -80,12 +81,13 @@ TEST_F(MultiOutputTest, EveryAlgorithmAgreesViaFallback) {
   auto cq = engine_.Compile(q5, opts_);
   ASSERT_TRUE(cq.ok());
   engine::Engine::GlobalMap globals{{"d", {xdm::Item(doc_->root())}}};
-  auto ref = engine_.Execute(*cq, globals, exec::PatternAlgo::kNLJoin);
+  auto ref = engine_.Execute(*cq, globals,
+      {.algo = exec::PatternAlgo::kNLJoin});
   ASSERT_TRUE(ref.ok());
   for (auto algo : {exec::PatternAlgo::kStaircase, exec::PatternAlgo::kTwig,
                     exec::PatternAlgo::kStream, exec::PatternAlgo::kTwigStack,
                     exec::PatternAlgo::kShredded}) {
-    auto res = engine_.Execute(*cq, globals, algo);
+    auto res = engine_.Execute(*cq, globals, {.algo = algo});
     ASSERT_TRUE(res.ok()) << exec::PatternAlgoName(algo);
     ASSERT_EQ(res->size(), ref->size()) << exec::PatternAlgoName(algo);
     for (size_t i = 0; i < res->size(); ++i) {
@@ -126,8 +128,10 @@ TEST_F(MultiOutputTest, RandomizedEquivalenceOnMember) {
     auto cq_ext = e2.Compile(q, ext);
     ASSERT_TRUE(cq_ref.ok() && cq_ext.ok()) << q;
     engine::Engine::GlobalMap globals{{"input", {xdm::Item(d->root())}}};
-    auto ref = e2.Execute(*cq_ref, globals, exec::PatternAlgo::kStaircase);
-    auto got = e2.Execute(*cq_ext, globals, exec::PatternAlgo::kNLJoin);
+    auto ref = e2.Execute(*cq_ref, globals,
+        {.algo = exec::PatternAlgo::kStaircase});
+    auto got = e2.Execute(*cq_ext, globals,
+        {.algo = exec::PatternAlgo::kNLJoin});
     ASSERT_TRUE(ref.ok() && got.ok()) << q;
     ASSERT_EQ(ref->size(), got->size()) << q;
     for (size_t i = 0; i < ref->size(); ++i) {

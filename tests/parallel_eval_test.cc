@@ -1,7 +1,9 @@
 // The morsel-parallel driver (exec/parallel.h) must be invisible in the
 // results: every algorithm, at every thread count, returns exactly the
 // sequence the sequential path returns — same items, same order, same
-// cardinality. parallel_min_fanout is forced down so even the small test
+// cardinality. The driver partitions a pattern operator's input tuples,
+// so the tests that must reach it use per-row queries (a pattern under a
+// `for`), and parallel_min_fanout is forced down so even the small test
 // document actually morselizes.
 #include <gtest/gtest.h>
 
@@ -27,12 +29,19 @@ EvalOptions ParallelOpts(PatternAlgo algo, int threads) {
   EvalOptions opts;
   opts.algo = algo;
   opts.threads = threads;
-  // Small enough that the XMark corpus queries morselize on a 0.03-factor
-  // document; small morsels exercise the merge on many runs.
+  // Small enough that the per-row XMark corpus queries morselize on a
+  // 0.03-factor document; small morsels exercise the concatenation of
+  // many per-morsel batches.
   opts.parallel_min_fanout = 4;
-  opts.parallel_morsels_per_thread = 4;
   return opts;
 }
+
+/// A per-row query: `$b/bidder[1]/increase` is one pattern evaluation per
+/// open_auction tuple, so its pattern operator receives one input tuple
+/// per auction and reaches the tuple-level driver (XMark XQ2).
+constexpr const char* kPerRowQuery =
+    "for $b in $input/site/open_auctions/open_auction "
+    "return $b/bidder[1]/increase";
 
 class ParallelEvalTest : public ::testing::Test {
  protected:
@@ -85,19 +94,24 @@ TEST_F(ParallelEvalTest, BitIdenticalAcrossThreadsAndAlgorithms) {
   }
 }
 
-// The cost-based meta-algorithm resolves to a concrete algorithm before
-// the driver morselizes; it must agree with itself across thread counts.
+// The cost-based meta-algorithm resolves its choice per morsel (each
+// worker has its own chooser); it must agree with itself across thread
+// counts.
 TEST_F(ParallelEvalTest, CostBasedAgreesAcrossThreads) {
   engine::Engine::GlobalMap globals{{"input", {xdm::Item(doc_->root())}}};
-  auto cq = engine_.Compile("$input//person[emailaddress]//interest");
+  auto cq = engine_.Compile(kPerRowQuery);
   ASSERT_TRUE(cq.ok());
   auto ref = engine_.Execute(*cq, globals,
                              ParallelOpts(PatternAlgo::kCostBased, 1));
   ASSERT_TRUE(ref.ok());
+  ASSERT_FALSE(ref->empty());
   for (int threads : {2, 8}) {
+    int64_t before = ParallelEvaluationCountForTesting();
     auto res = engine_.Execute(*cq, globals,
                                ParallelOpts(PatternAlgo::kCostBased, threads));
     ASSERT_TRUE(res.ok());
+    EXPECT_GT(ParallelEvaluationCountForTesting(), before)
+        << "t" << threads << " never reached the parallel driver";
     ASSERT_EQ(res->size(), ref->size());
     for (size_t i = 0; i < res->size(); ++i) {
       EXPECT_TRUE((*res)[i] == (*ref)[i]) << "item " << i;
@@ -122,68 +136,69 @@ TEST_F(ParallelEvalTest, EmptyInput) {
   }
 }
 
-// A query matching nothing (no such tag anywhere) exercises the merge of
-// all-empty morsel runs.
+// A per-row pattern matching nothing (no bidder has a site child)
+// exercises the concatenation of all-empty morsel batches. The
+// positional step keeps the pattern per row, as in kPerRowQuery.
 TEST_F(ParallelEvalTest, EmptyResultAfterMorselizing) {
-  auto cq = engine_.Compile("$input//keyword/site");
+  auto cq = engine_.Compile(
+      "for $b in $input/site/open_auctions/open_auction "
+      "return $b/bidder[1]/site");
   ASSERT_TRUE(cq.ok());
   engine::Engine::GlobalMap globals{{"input", {xdm::Item(doc_->root())}}};
   for (PatternAlgo algo : kAllAlgos) {
     for (int threads : {2, 8}) {
+      int64_t before = ParallelEvaluationCountForTesting();
       auto res = engine_.Execute(*cq, globals, ParallelOpts(algo, threads));
       ASSERT_TRUE(res.ok()) << PatternAlgoName(algo) << " t" << threads;
+      EXPECT_GT(ParallelEvaluationCountForTesting(), before)
+          << PatternAlgoName(algo) << " t" << threads
+          << " never reached the parallel driver";
       EXPECT_TRUE(res->empty()) << PatternAlgoName(algo) << " t" << threads;
     }
   }
 }
 
-// Single-morsel edge case: with the fan-out floor above the candidate
-// count the driver must fall back to the plain sequential path (and still
-// return identical results).
+// Fallback edge cases, both bit-identical to the sequential run:
+//  - with the fan-out floor above the input-tuple count, the evaluator
+//    never hands the per-row pattern to the driver;
+//  - a pattern fed ONE tuple at parallel_min_fanout = 1 enters the driver
+//    but forms a single morsel, which runs on the calling thread.
+// The control run at the default test floor proves the per-row query
+// does reach the driver, so neither check can pass vacuously.
 TEST_F(ParallelEvalTest, SingleMorselFallsBackToSequential) {
-  auto cq = engine_.Compile("$input//person[emailaddress]/name");
-  ASSERT_TRUE(cq.ok());
   engine::Engine::GlobalMap globals{{"input", {xdm::Item(doc_->root())}}};
-  for (PatternAlgo algo : kAllAlgos) {
-    auto ref = engine_.Execute(*cq, globals, ParallelOpts(algo, 1));
-    ASSERT_TRUE(ref.ok());
-    EvalOptions opts = ParallelOpts(algo, 8);
-    opts.parallel_min_fanout = 1 << 30;  // never reached: one morsel max
-    auto res = engine_.Execute(*cq, globals, opts);
-    ASSERT_TRUE(res.ok()) << PatternAlgoName(algo);
-    ASSERT_EQ(res->size(), ref->size()) << PatternAlgoName(algo);
-    for (size_t i = 0; i < res->size(); ++i) {
-      EXPECT_TRUE((*res)[i] == (*ref)[i])
-          << PatternAlgoName(algo) << " item " << i;
-    }
-  }
-}
-
-// Regression: root fan-out re-roots the pattern with a self axis, a shape
-// the optimizer never builds. The Stream evaluator used to miss a later
-// descendant-or-self step matching the context node itself under the
-// self-rooted instance (found by the equiv_fuzz oracle).
-TEST(ParallelRerootTest, SelfRootedStreamKeepsContextMatches) {
-  engine::Engine e;
-  auto doc = e.LoadDocument("w", "<r><b><b><d/></b><a/></b></r>");
-  ASSERT_TRUE(doc.ok());
-  auto cq = e.Compile("$input/descendant::b/descendant-or-self::node()");
-  ASSERT_TRUE(cq.ok());
-  engine::Engine::GlobalMap globals{{"input", {xdm::Item((*doc)->root())}}};
-  for (PatternAlgo algo : kAllAlgos) {
-    auto ref = e.Execute(*cq, globals, ParallelOpts(algo, 1));
+  auto per_row = engine_.Compile(kPerRowQuery);
+  ASSERT_TRUE(per_row.ok());
+  auto one_tuple = engine_.Compile("$input//person[emailaddress]/name");
+  ASSERT_TRUE(one_tuple.ok());
+  auto expect_same = [&](const engine::CompiledQuery& cq,
+                         const EvalOptions& opts, PatternAlgo algo) {
+    auto ref = engine_.Execute(cq, globals, ParallelOpts(algo, 1));
     ASSERT_TRUE(ref.ok()) << PatternAlgoName(algo);
-    ASSERT_EQ(ref->size(), 4u) << PatternAlgoName(algo);  // b, b, d, a
-    EvalOptions opts = ParallelOpts(algo, 2);
-    opts.parallel_min_fanout = 2;
-    opts.parallel_morsels_per_thread = 2;
-    auto res = e.Execute(*cq, globals, opts);
+    ASSERT_FALSE(ref->empty()) << PatternAlgoName(algo);
+    auto res = engine_.Execute(cq, globals, opts);
     ASSERT_TRUE(res.ok()) << PatternAlgoName(algo);
     ASSERT_EQ(res->size(), ref->size()) << PatternAlgoName(algo);
     for (size_t i = 0; i < res->size(); ++i) {
       EXPECT_TRUE((*res)[i] == (*ref)[i])
           << PatternAlgoName(algo) << " item " << i;
     }
+  };
+  for (PatternAlgo algo : kAllAlgos) {
+    int64_t before = ParallelEvaluationCountForTesting();
+    EvalOptions high_floor = ParallelOpts(algo, 8);
+    high_floor.parallel_min_fanout = 1 << 30;  // never reached
+    expect_same(*per_row, high_floor, algo);
+    EvalOptions unit_floor = ParallelOpts(algo, 8);
+    unit_floor.parallel_min_fanout = 1;  // one tuple: one morsel
+    expect_same(*one_tuple, unit_floor, algo);
+    EXPECT_EQ(ParallelEvaluationCountForTesting(), before)
+        << PatternAlgoName(algo) << ": a fallback run fanned out";
+
+    expect_same(*per_row, ParallelOpts(algo, 8), algo);
+    EXPECT_GT(ParallelEvaluationCountForTesting(), before)
+        << PatternAlgoName(algo)
+        << ": control failed, the per-row query never reached the driver";
   }
 }
 
@@ -245,7 +260,7 @@ TEST(ThreadPoolTest, RunWithZeroCountIsANoOp) {
 // pre-warms only the tag streams: the document's relational NodeTable
 // (storage/node_table.h, ~a node's worth of bytes per node) is built for
 // kShredded alone. The per-row increase step runs on the tuple-level
-// morsel driver; `//open_auction` on the root fan-out driver.
+// morsel driver.
 TEST_F(ParallelEvalTest, CostBasedParallelRunBuildsNoNodeTable) {
   engine::Engine::GlobalMap globals{{"input", {xdm::Item(doc_->root())}}};
   auto cq = engine_.Compile("$input//open_auction/bidder[1]/increase");
@@ -265,36 +280,6 @@ TEST_F(ParallelEvalTest, CostBasedParallelRunBuildsNoNodeTable) {
   ASSERT_TRUE(sh.ok()) << sh.status().ToString();
   EXPECT_NE(doc_->FindExtension(), nullptr);
   EXPECT_EQ(*cb, *sh);
-}
-
-// The legacy Engine::Execute(q, globals, algo, plan) overload is
-// documented as the sequential path (threads = 1): per-algorithm
-// ExecStats must stay deterministic, so it must never route through the
-// morsel-parallel driver — even on a query wide enough to morselize.
-// ParallelEvaluationCountForTesting() increments each time a pattern is
-// actually handed to a thread pool; the EvalOptions overload with
-// threads=2 proves the same query DOES parallelize when asked to, so a
-// regression in the counter itself cannot make this test pass vacuously.
-TEST_F(ParallelEvalTest, LegacyExecuteOverloadNeverParallelizes) {
-  engine::Engine::GlobalMap globals{{"input", {xdm::Item(doc_->root())}}};
-  auto cq = engine_.Compile("$input//item//location");
-  ASSERT_TRUE(cq.ok()) << cq.status().ToString();
-
-  int64_t before = ParallelEvaluationCountForTesting();
-  auto legacy = engine_.Execute(*cq, globals, PatternAlgo::kNLJoin);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_EQ(ParallelEvaluationCountForTesting(), before)
-      << "legacy Execute overload routed through the parallel driver";
-
-  // min_fanout=4 (ParallelOpts) keeps the single root tuple below the
-  // tuple-morselization threshold, so the pattern parallelizes via the
-  // root fan-out strategy — the path real single-document queries take.
-  auto parallel =
-      engine_.Execute(*cq, globals, ParallelOpts(PatternAlgo::kNLJoin, 2));
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  EXPECT_GT(ParallelEvaluationCountForTesting(), before)
-      << "control failed: threads=2 never reached the parallel driver";
-  EXPECT_EQ(*legacy, *parallel);
 }
 
 }  // namespace

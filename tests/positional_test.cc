@@ -36,7 +36,8 @@ class PositionalTest : public ::testing::Test {
     auto ref_cq = engine_.Compile(q);  // paper-mode
     EXPECT_TRUE(ref_cq.ok());
     engine::Engine::GlobalMap globals{{"d", {xdm::Item(doc_->root())}}};
-    auto ref = engine_.Execute(*ref_cq, globals, exec::PatternAlgo::kNLJoin);
+    auto ref = engine_.Execute(*ref_cq, globals,
+        {.algo = exec::PatternAlgo::kNLJoin});
     EXPECT_TRUE(ref.ok()) << ref.status().ToString();
     std::vector<std::string> expected;
     for (const xdm::Item& it : *ref) expected.push_back(it.StringValue());
@@ -44,7 +45,7 @@ class PositionalTest : public ::testing::Test {
                       exec::PatternAlgo::kTwig, exec::PatternAlgo::kStream,
                       exec::PatternAlgo::kTwigStack,
                       exec::PatternAlgo::kShredded}) {
-      auto res = engine_.Execute(*ext, globals, algo);
+      auto res = engine_.Execute(*ext, globals, {.algo = algo});
       EXPECT_TRUE(res.ok()) << q << ": " << res.status().ToString();
       if (!res.ok()) continue;
       std::vector<std::string> values;
@@ -153,13 +154,14 @@ TEST_F(PositionalTest, RandomizedAgreementOnMember) {
     auto cq_ext = e2.Compile(q, ext);
     ASSERT_TRUE(cq_ref.ok() && cq_ext.ok()) << q;
     engine::Engine::GlobalMap globals{{"input", {xdm::Item(d->root())}}};
-    auto ref = e2.Execute(*cq_ref, globals, exec::PatternAlgo::kNLJoin);
+    auto ref = e2.Execute(*cq_ref, globals,
+        {.algo = exec::PatternAlgo::kNLJoin});
     ASSERT_TRUE(ref.ok()) << q;
     for (auto algo : {exec::PatternAlgo::kNLJoin, exec::PatternAlgo::kStaircase,
                       exec::PatternAlgo::kTwig, exec::PatternAlgo::kStream,
                       exec::PatternAlgo::kTwigStack,
                       exec::PatternAlgo::kShredded}) {
-      auto res = e2.Execute(*cq_ext, globals, algo);
+      auto res = e2.Execute(*cq_ext, globals, {.algo = algo});
       ASSERT_TRUE(res.ok()) << q;
       ASSERT_EQ(res->size(), ref->size())
           << q << " [" << exec::PatternAlgoName(algo) << "]";

@@ -94,7 +94,7 @@ TEST_P(PropertyTest, AllRoutesAgreeOnRandomQueries) {
     auto cq = e.Compile(q);
     ASSERT_TRUE(cq.ok()) << q << ": " << cq.status().ToString();
     engine::Engine::GlobalMap globals{{"input", {xdm::Item(d->root())}}};
-    auto ref = e.Execute(*cq, globals, exec::PatternAlgo::kNLJoin,
+    auto ref = e.Execute(*cq, globals, {},
                          engine::PlanChoice::kCoreInterp);
     ASSERT_TRUE(ref.ok()) << q << ": " << ref.status().ToString();
     for (auto pc : {engine::PlanChoice::kUnoptimized,
@@ -103,7 +103,7 @@ TEST_P(PropertyTest, AllRoutesAgreeOnRandomQueries) {
            {exec::PatternAlgo::kNLJoin, exec::PatternAlgo::kStaircase,
             exec::PatternAlgo::kTwig, exec::PatternAlgo::kStream,
                       exec::PatternAlgo::kTwigStack}) {
-        auto res = e.Execute(*cq, globals, algo, pc);
+        auto res = e.Execute(*cq, globals, {.algo = algo}, pc);
         ASSERT_TRUE(res.ok()) << q << ": " << res.status().ToString();
         ASSERT_EQ(res->size(), ref->size())
             << q << "\nplan=" << static_cast<int>(pc) << " algo="

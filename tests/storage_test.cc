@@ -87,8 +87,9 @@ TEST_F(StorageTest, ShreddedEvaluationMatchesPointerBased) {
     auto cq = e2.Compile(q);
     ASSERT_TRUE(cq.ok()) << q;
     engine::Engine::GlobalMap globals{{"input", {xdm::Item(d->root())}}};
-    auto ref = e2.Execute(*cq, globals, exec::PatternAlgo::kStaircase);
-    auto sh = e2.Execute(*cq, globals, exec::PatternAlgo::kShredded);
+    auto ref = e2.Execute(*cq, globals,
+        {.algo = exec::PatternAlgo::kStaircase});
+    auto sh = e2.Execute(*cq, globals, {.algo = exec::PatternAlgo::kShredded});
     ASSERT_TRUE(ref.ok() && sh.ok()) << q;
     ASSERT_EQ(ref->size(), sh->size()) << q;
     for (size_t i = 0; i < ref->size(); ++i) {
@@ -103,8 +104,9 @@ TEST_F(StorageTest, ShreddedPositionalSteps) {
   auto cq = engine_.Compile("$d/r/a[2]/b[1]", opts);
   ASSERT_TRUE(cq.ok());
   engine::Engine::GlobalMap globals{{"d", {xdm::Item(doc_->root())}}};
-  auto sh = engine_.Execute(*cq, globals, exec::PatternAlgo::kShredded);
-  auto nl = engine_.Execute(*cq, globals, exec::PatternAlgo::kNLJoin);
+  auto sh = engine_.Execute(*cq, globals,
+      {.algo = exec::PatternAlgo::kShredded});
+  auto nl = engine_.Execute(*cq, globals, {.algo = exec::PatternAlgo::kNLJoin});
   ASSERT_TRUE(sh.ok() && nl.ok());
   ASSERT_EQ(sh->size(), 1u);
   EXPECT_TRUE((*sh)[0] == (*nl)[0]);

@@ -37,7 +37,7 @@ TEST_F(XmarkQueriesTest, AllRoutesAgreeOnEveryQuery) {
     auto cq = engine_.Compile(q.text);
     ASSERT_TRUE(cq.ok()) << q.id;
     engine::Engine::GlobalMap globals{{"input", {xdm::Item(doc_->root())}}};
-    auto ref = engine_.Execute(*cq, globals, exec::PatternAlgo::kNLJoin,
+    auto ref = engine_.Execute(*cq, globals, {},
                                engine::PlanChoice::kCoreInterp);
     ASSERT_TRUE(ref.ok()) << q.id << ": " << ref.status().ToString();
     for (auto pc : {engine::PlanChoice::kUnoptimized,
@@ -47,7 +47,7 @@ TEST_F(XmarkQueriesTest, AllRoutesAgreeOnEveryQuery) {
             exec::PatternAlgo::kTwig, exec::PatternAlgo::kStream,
             exec::PatternAlgo::kTwigStack, exec::PatternAlgo::kShredded,
             exec::PatternAlgo::kCostBased}) {
-        auto res = engine_.Execute(*cq, globals, algo, pc);
+        auto res = engine_.Execute(*cq, globals, {.algo = algo}, pc);
         ASSERT_TRUE(res.ok()) << q.id << ": " << res.status().ToString();
         ASSERT_EQ(res->size(), ref->size())
             << q.id << " [" << exec::PatternAlgoName(algo) << "]";
@@ -77,7 +77,8 @@ TEST_F(XmarkQueriesTest, ResultsAreNonEmptyWhereExpected) {
   for (const XmarkQuery& q : XmarkQueryCorpus()) {
     auto cq = engine_.Compile(q.text);
     ASSERT_TRUE(cq.ok()) << q.id;
-    auto res = engine_.Execute(*cq, globals, exec::PatternAlgo::kStaircase);
+    auto res = engine_.Execute(*cq, globals,
+        {.algo = exec::PatternAlgo::kStaircase});
     ASSERT_TRUE(res.ok()) << q.id;
     // Counting queries return a number; the others should find data on a
     // factor-0.03 document (XQ3/XQ14 depend on random content, so allow
